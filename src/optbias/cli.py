@@ -32,7 +32,16 @@ from .matchloss import IntegralMode
 from .metatrain import MetaConfig, TrainStats, finetune, meta_train
 from .numerics import RngState
 from .search import gradient_search, init_candidates, write_designs_csv
-from .sim4opt import Sim4OptConfig
+from .sim4opt import InvalidDelta, Sim4OptConfig
+
+
+def _parse_bool(raw: str) -> bool:
+    """The boolean spellings configparser accepts, and nothing else."""
+    key, states = raw.strip().lower(), configparser.ConfigParser.BOOLEAN_STATES
+    if key not in states:
+        raise ValueError(f"not a boolean; use one of {sorted(states)}")
+    return states[key]
+
 
 # section -> key -> (default string, parser)
 _SCHEMA = {
@@ -47,7 +56,7 @@ _SCHEMA = {
         "lengthscale": ("1.0", float),
         "signal_variance": ("1.0", float),
         "noise": ("0.01", float),
-        "fit_gp": ("true", lambda s: s.lower() in ("1", "true", "yes")),
+        "fit_gp": ("true", _parse_bool),
     },
     "surrogate": {
         "hidden": ("512,128,32", lambda s: tuple(int(v) for v in s.split(","))),
@@ -131,6 +140,19 @@ def _config_snapshot(cfg: dict) -> dict:
 
 
 def build_pipeline_config(cfg: dict) -> bench.PipelineConfig:
+    """Build the typed pipeline config; invalid values raise ConfigError."""
+    if cfg["search"]["top_k"] < cfg["search"]["n_candidates"]:
+        raise ConfigError(
+            f"search.top_k ({cfg['search']['top_k']}) must be >= "
+            f"search.n_candidates ({cfg['search']['n_candidates']})"
+        )
+    try:
+        return _pipeline_config(cfg)
+    except (ValueError, InvalidDelta) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _pipeline_config(cfg: dict) -> bench.PipelineConfig:
     sim = Sim4OptConfig(
         n_functions=cfg["sim4opt"]["n_functions"],
         evolve_steps=cfg["sim4opt"]["evolve_steps"],

@@ -10,14 +10,17 @@ also exposes the flat per-function dataset sorted the same way.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import gp
 from .dataio import OfflineDataset
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 from .numerics import RngState
 
 DIVERGENCE_LIMIT = 1e6
@@ -180,7 +183,7 @@ def generate_tasks(
             try:
                 tasks.append(_generate_one(sub, cfg, params, i))
                 break
-            except (NonFiniteState, NumericalError) as exc:
+            except NumericalError as exc:
                 last_err = exc
         else:
             raise TaskGenerationFailed(
@@ -219,57 +222,113 @@ def build_pairs(t: SyntheticTask, rng: RngState, count: int):
     return starts, ends, dz
 
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
+# The digest covers every byte of the file, its own 64 hex digits read as
+# zeros. Keys are sorted, so only "shape" (integers), "states" (base64) and
+# "version" follow the top-level "sha256" key, and none of them can contain
+# it: that key is the last match in the file, whatever the config holds.
+_SHA_KEY = b'"sha256":"'
+_SHA_ZEROS = b"0" * 64
+
+
+def _sha_offset(data: bytes) -> int:
+    at = data.rfind(_SHA_KEY)
+    return -1 if at < 0 else at + len(_SHA_KEY)
+
+
+def _file_digest(data: bytes, at: int) -> str:
+    view = memoryview(data)
+    h = hashlib.sha256(view[:at])
+    h.update(_SHA_ZEROS)
+    h.update(view[at + len(_SHA_ZEROS):])
+    return h.hexdigest()
 
 
 def save_bundle(tasks: list[SyntheticTask], path, config: dict | None = None) -> None:
-    """Versioned JSON container with per-task params and trajectory blocks."""
-    payload = {
+    """Write a version-2 bundle: one JSON document (sorted keys) holding the
+    per-task params, ``shape = [K, T, kappa, d]``, all states and labels as
+    base64 blocks of little-endian f64, and a sha256 of the whole file.
+
+    Raises ValueError when the tasks do not share one (T, kappa, d) shape.
+    """
+    if not tasks:
+        raise ValueError("cannot save an empty task list")
+    try:
+        states = np.stack([np.stack([tr.states for tr in t.trajectories]) for t in tasks])
+        labels = np.stack([np.stack([tr.labels for tr in t.trajectories]) for t in tasks])
+    except ValueError as exc:
+        raise ValueError(f"tasks must share one (T, kappa, d) shape: {exc}") from None
+    if states.ndim != 4 or labels.shape != states.shape[:3]:
+        raise ValueError(
+            f"states {states.shape} and labels {labels.shape} are not (K, T, kappa, d) "
+            "and (K, T, kappa)"
+        )
+    doc = {
         "version": BUNDLE_VERSION,
         "config": config or {},
-        "tasks": [
-            {
-                "task_id": t.task_id,
-                "params": {
-                    "family": t.params.family,
-                    "lengthscale": t.params.lengthscale,
-                    "signal_variance": t.params.signal_variance,
-                    "noise_variance": t.params.noise_variance,
-                    "mean": t.params.mean,
-                },
-                "trajectories": [
-                    {
-                        "states": traj.states.tolist(),
-                        "labels": traj.labels.tolist(),
-                    }
-                    for traj in t.trajectories
-                ],
-            }
-            for t in tasks
-        ],
+        "params": [{"task_id": t.task_id, **asdict(t.params)} for t in tasks],
+        "shape": list(states.shape),
+        "states": base64.b64encode(states.astype("<f8", copy=False).tobytes()).decode("ascii"),
+        "labels": base64.b64encode(labels.astype("<f8", copy=False).tobytes()).decode("ascii"),
+        "sha256": _SHA_ZEROS.decode("ascii"),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    data = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    at = _sha_offset(data)
+    with open(path, "wb") as fh:
+        fh.write(memoryview(data)[:at])
+        fh.write(_file_digest(data, at).encode("ascii"))
+        fh.write(memoryview(data)[at + len(_SHA_ZEROS):])
+
+
+def _decode_block(b64: str, shape: tuple[int, ...]) -> np.ndarray:
+    raw = base64.b64decode(b64, validate=True)
+    if len(raw) != 8 * math.prod(shape):
+        raise DataError(f"{len(raw)} bytes do not hold a {shape} f64 block")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def load_bundle(path) -> list[SyntheticTask]:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("version") != BUNDLE_VERSION:
-        raise TaskGenerationFailed(f"unsupported bundle version in {path}")
-    tasks = []
-    for entry in payload["tasks"]:
-        params = gp.KernelParams(**entry["params"])
-        trajs = tuple(
-            Trajectory(np.array(tr["states"], dtype=np.float64),
-                       np.array(tr["labels"], dtype=np.float64))
-            for tr in entry["trajectories"]
+    """Read a bundle written by save_bundle; tasks are views of two arrays.
+
+    Raises TaskGenerationFailed for another bundle version and DataError for
+    a malformed file or one whose sha256 does not match its bytes.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:
+        raise DataError(f"{path}: not a task bundle ({exc})") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a task bundle")
+    if doc.get("version") != BUNDLE_VERSION:
+        raise TaskGenerationFailed(
+            f"{path}: bundle version {doc.get('version')!r}, expected {BUNDLE_VERSION}; "
+            "rerun gen-tasks to rewrite it"
         )
-        flat_X = np.concatenate([tr.states for tr in trajs], axis=0)
-        flat_z = np.concatenate([tr.labels for tr in trajs])
+    at = _sha_offset(data)
+    if at < 0 or data[at : at + len(_SHA_ZEROS)] != _file_digest(data, at).encode("ascii"):
+        raise DataError(f"{path}: bundle checksum mismatch")
+    del data
+    try:
+        K, T, kappa, d = (int(v) for v in doc["shape"])
+        states = _decode_block(doc["states"], (K, T, kappa, d))
+        labels = _decode_block(doc["labels"], (K, T, kappa))
+        names = [f.name for f in fields(gp.KernelParams)]
+        params = [
+            (rec["task_id"], gp.KernelParams(**{n: rec[n] for n in names}))
+            for rec in doc["params"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed task bundle ({exc!r})") from None
+    if len(params) != K:
+        raise DataError(f"{path}: {len(params)} params records for {K} tasks")
+    tasks = []
+    for k, (task_id, p) in enumerate(params):
+        trajs = tuple(Trajectory(states[k, t], labels[k, t]) for t in range(T))
+        flat_z = labels[k].reshape(-1)
         order = np.argsort(flat_z, kind="stable")
         tasks.append(
-            SyntheticTask(entry["task_id"], params, trajs, flat_X[order], flat_z[order])
+            SyntheticTask(task_id, p, trajs, states[k].reshape(-1, d)[order], flat_z[order])
         )
     return tasks

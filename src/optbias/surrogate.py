@@ -213,14 +213,12 @@ def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarra
             g.view(f"s{i}")[:] = du.sum(axis=0)
             gam = net.view(f"g{i}", p)
             if cache["mode"] == "train":
-                B = du.shape[0]
                 dxhat = du * gam
                 ds = (
                     dxhat
                     - dxhat.mean(axis=0)
                     - xhat * (dxhat * xhat).mean(axis=0)
                 ) / std
-                del B
             else:
                 ds = du * gam / std
         else:
@@ -409,21 +407,40 @@ def save_checkpoint(net: SurrogateNet, path) -> None:
 
 
 def load_checkpoint(path) -> SurrogateNet:
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises NumericalError for a wrong magic or version, an unreadable header,
+    or a file shorter or longer than its header says.
+    """
     with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise NumericalError(f"{path}: not a surrogate checkpoint")
-        (version,) = struct.unpack("<B", fh.read(1))
-        if version != CHECKPOINT_VERSION:
-            raise NumericalError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(hlen).decode("utf-8"))
+        data = fh.read()
+    if data[:4] != CHECKPOINT_MAGIC:
+        raise NumericalError(f"{path}: not a surrogate checkpoint")
+    if len(data) < 9:
+        raise NumericalError(f"{path}: checkpoint truncated in its header")
+    version, hlen = struct.unpack_from("<BI", data, 4)
+    if version != CHECKPOINT_VERSION:
+        raise NumericalError(f"{path}: unsupported checkpoint version {version}")
+    try:
+        meta = json.loads(data[9 : 9 + hlen].decode("utf-8"))
         arch = Architecture(
             meta["input_dim"], tuple(meta["hidden"]), meta["slope"], meta["norm"]
         )
-        params = np.frombuffer(fh.read(8 * arch.n_params()), dtype="<f8").copy()
-        stats = []
-        for w in arch.hidden if arch.norm == NORM_BATCH else ():
-            rm = np.frombuffer(fh.read(8 * w), dtype="<f8").copy()
-            rv = np.frombuffer(fh.read(8 * w), dtype="<f8").copy()
-            stats.append((rm, rv))
-        return SurrogateNet(arch, params, stats, meta["mode"])
+        widths = arch.hidden if arch.norm == NORM_BATCH else ()
+        if meta["mode"] not in ("train", "eval") or meta["n_stats"] != len(widths):
+            raise ValueError(f"bad mode {meta['mode']!r} or n_stats {meta['n_stats']!r}")
+        n_params = arch.n_params()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise NumericalError(f"{path}: unreadable checkpoint header ({exc!r})") from None
+    expected = 9 + hlen + 8 * (n_params + 2 * sum(widths))
+    if len(data) != expected:
+        raise NumericalError(
+            f"{path}: checkpoint has {len(data)} bytes, its header implies {expected}"
+        )
+    values = np.frombuffer(data, dtype="<f8", offset=9 + hlen).copy()
+    params, off = values[:n_params], n_params
+    stats = []
+    for w in widths:
+        stats.append((values[off : off + w], values[off + w : off + 2 * w]))
+        off += 2 * w
+    return SurrogateNet(arch, params, stats, meta["mode"])

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optbias import cli
 from optbias.dataio import OfflineDataset, save_dataset
@@ -112,6 +117,29 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, body", [
+    ("sim4opt", "evolution_mode = bogus"),
+    ("sim4opt", "fit_gp = maybe"),
+    ("sim4opt", "kernel = cosine"),
+    ("sim4opt", "delta_frac = 1.5"),
+    ("search", "top_k = 10\nn_candidates = 20"),
+])
+def test_invalid_config_values_exit_2(tmp_path, data_csv, capsys, section, body):
+    p = tmp_path / "bad.ini"
+    p.write_text(f"[{section}]\n{body}\n")
+    rc = cli.main(["--config", str(p), "--output-dir", str(tmp_path / "out"),
+                   "gen-tasks", "--data", str(data_csv)])
+    assert rc == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_fit_gp_parses_strictly(tmp_path):
+    p = tmp_path / "b.ini"
+    for raw, want in (("no", False), ("Off", False), ("0", False), ("TRUE", True), ("on", True)):
+        p.write_text(f"[sim4opt]\nfit_gp = {raw}\n")
+        assert cli.parse_config(str(p))["sim4opt"]["fit_gp"] is want
+
+
 def test_gen_tasks_and_inspect(tmp_path, data_csv, cfg_file, capsys):
     out = tmp_path / "out"
     rc = cli.main([
@@ -126,6 +154,101 @@ def test_gen_tasks_and_inspect(tmp_path, data_csv, cfg_file, capsys):
     rc = cli.main(["inspect", "--file", str(out / "tasks.json")])
     assert rc == 0
     assert "3" in capsys.readouterr().out
+
+
+def test_gen_tasks_writes_identical_bytes(tmp_path, data_csv, cfg_file):
+    bundles = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["--config", str(cfg_file), "--output-dir", str(out),
+                         "gen-tasks", "--data", str(data_csv), "--seed", "3"]) == 0
+        bundles.append((out / "tasks.json").read_bytes())
+    assert bundles[0] == bundles[1]
+
+
+def test_v1_bundle_exit_3(tmp_path, data_csv, cfg_file, capsys):
+    p = tmp_path / "tasks.json"
+    p.write_text(json.dumps({"version": 1, "config": {}, "tasks": []}) + "\n")
+    assert cli.main(["inspect", "--file", str(p)]) == 3
+    rc = cli.main(["--config", str(cfg_file), "--output-dir", str(tmp_path / "out"),
+                   "meta-train", "--data", str(data_csv), "--tasks", str(p)])
+    assert rc == 3
+    assert "gen-tasks" in capsys.readouterr().err
+
+
+def test_truncated_bundle_exit_4(tmp_path, data_csv, cfg_file):
+    out = tmp_path / "out"
+    base = ["--config", str(cfg_file), "--output-dir", str(out)]
+    assert cli.main(base + ["gen-tasks", "--data", str(data_csv)]) == 0
+    bundle = out / "tasks.json"
+    bundle.write_bytes(bundle.read_bytes()[: bundle.stat().st_size // 2])
+    assert cli.main(["inspect", "--file", str(bundle)]) == 4
+    assert cli.main(base + ["meta-train", "--data", str(data_csv),
+                            "--tasks", str(bundle)]) == 4
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """Bytes of a valid task bundle and of a valid checkpoint from the CLI."""
+    work = tmp_path_factory.mktemp("artifacts")
+    r = RngState(0)
+    X = r.normal(size=(15, 2))
+    save_dataset(OfflineDataset(X, -np.sum(X * X, axis=1)), work / "data.csv")
+    (work / "run.ini").write_text(SMALL_CFG)
+    base = ["--config", str(work / "run.ini"), "--output-dir", str(work)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(base + ["gen-tasks", "--data", str(work / "data.csv")]) == 0
+        assert cli.main(base + ["meta-train", "--data", str(work / "data.csv"),
+                                "--tasks", str(work / "tasks.json")]) == 0
+    return {"tasks.json": (work / "tasks.json").read_bytes(),
+            "meta.ckpt": (work / "meta.ckpt").read_bytes()}
+
+
+def _inspect_exit_code(name: str, data: bytes) -> int:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / name
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return cli.main(["inspect", "--file", str(path)])
+
+
+_HYP = settings(max_examples=150, deadline=None)
+
+
+@_HYP
+@given(st.sampled_from(["tasks.json", "meta.ckpt"]), st.data())
+def test_truncated_artifact_exit_3_or_4(artifacts, name, data):
+    full = artifacts[name]
+    assert _inspect_exit_code(name, full) == 0
+    cut = data.draw(st.integers(0, len(full) - 1), label="cut")
+    assert _inspect_exit_code(name, full[:cut]) in (3, 4)
+
+
+@_HYP
+@given(st.data())
+def test_flipped_bundle_byte_exit_3_or_4(artifacts, data):
+    full = artifacts["tasks.json"]
+    at = data.draw(st.integers(0, len(full) - 1), label="at")
+    mask = data.draw(st.integers(1, 255), label="mask")
+    bad = bytearray(full)
+    bad[at] ^= mask
+    assert _inspect_exit_code("tasks.json", bytes(bad)) in (3, 4)
+
+
+@_HYP
+@given(st.data())
+def test_flipped_checkpoint_byte(artifacts, data):
+    # The checkpoint format carries no checksum, so a flip inside the f64
+    # payload or a float header value loads; the framing and the array
+    # lengths are checked, and no flip may end in a traceback.
+    full = artifacts["meta.ckpt"]
+    at = data.draw(st.integers(0, len(full) - 1), label="at")
+    mask = data.draw(st.integers(1, 255), label="mask")
+    bad = bytearray(full)
+    bad[at] ^= mask
+    rc = _inspect_exit_code("meta.ckpt", bytes(bad))
+    assert rc in ((3, 4) if at < 9 else (0, 3, 4))
 
 
 def test_bench_row_count_and_summary(tmp_path, cfg_file, capsys):

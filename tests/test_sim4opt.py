@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from optbias import gp, sim4opt
+from optbias.errors import DataError
 from optbias.dataio import OfflineDataset, standardize
 from optbias.numerics import RngState
 
@@ -180,15 +184,93 @@ def test_bundle_round_trip(tmp_path):
     back = sim4opt.load_bundle(p)
     assert len(back) == len(tasks)
     for t0, t1 in zip(tasks, back):
+        assert t0.task_id == t1.task_id
         assert t0.params == t1.params
-        assert np.allclose(t0.flat_z, t1.flat_z)
+        assert t0.kappa == t1.kappa
+        assert np.array_equal(t0.flat_X, t1.flat_X)
+        assert np.array_equal(t0.flat_z, t1.flat_z)
+        assert len(t0.trajectories) == len(t1.trajectories)
         for a, b in zip(t0.trajectories, t1.trajectories):
-            assert np.allclose(a.states, b.states)
-            assert np.allclose(a.labels, b.labels)
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.labels, b.labels)
 
 
 def test_bundle_bad_version(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"version": 99, "tasks": []}\n')
-    with pytest.raises(sim4opt.TaskGenerationFailed):
+    with pytest.raises(sim4opt.TaskGenerationFailed, match="expected 2.*gen-tasks"):
         sim4opt.load_bundle(p)
+
+
+def test_bundle_rejects_ragged_tasks(tmp_path):
+    ds = offline_2d()
+    short = sim4opt.generate_tasks(
+        ds, sim4opt.Sim4OptConfig(n_functions=1, evolve_steps=2), RngState(12))
+    long = sim4opt.generate_tasks(
+        ds, sim4opt.Sim4OptConfig(n_functions=1, evolve_steps=3), RngState(12))
+    with pytest.raises(ValueError, match="shape"):
+        sim4opt.save_bundle(short + long, tmp_path / "ragged.json")
+    with pytest.raises(ValueError, match="empty"):
+        sim4opt.save_bundle([], tmp_path / "empty.json")
+
+
+def _bundle_doc(tmp_path):
+    ds = offline_2d()
+    cfg = sim4opt.Sim4OptConfig(n_functions=2, evolve_steps=2)
+    p = tmp_path / "tasks.json"
+    sim4opt.save_bundle(sim4opt.generate_tasks(ds, cfg, RngState(13)), p)
+    return p, json.loads(p.read_text())
+
+
+def _write_sealed(doc, path):
+    """Write ``doc`` as save_bundle would, with a checksum that matches it."""
+    doc = dict(doc, sha256="0" * 64)
+    data = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    at = data.rfind(b'"sha256":"') + len('"sha256":"')
+    digest = hashlib.sha256(data).hexdigest().encode()
+    path.write_bytes(data[:at] + digest + data[at + 64:])
+
+
+def test_bundle_checksum_is_over_the_file(tmp_path):
+    p, doc = _bundle_doc(tmp_path)
+    resealed = tmp_path / "resealed.json"
+    _write_sealed(doc, resealed)
+    assert resealed.read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda doc: doc.pop("shape"), "malformed"),
+    (lambda doc: doc.pop("params"), "malformed"),
+    (lambda doc: doc["shape"].__setitem__(1, doc["shape"][1] + 1), "bytes do not hold"),
+    (lambda doc: doc.update(labels=doc["labels"][:-4]), "bytes do not hold"),
+    (lambda doc: doc.update(states="***"), "malformed"),
+    (lambda doc: doc["params"].pop(), "params records"),
+    (lambda doc: doc["params"][0].update(lengthscale=-1.0), "malformed"),
+])
+def test_bundle_malformed_sealed_files(tmp_path, edit, match):
+    _, doc = _bundle_doc(tmp_path)
+    edit(doc)
+    p = tmp_path / "edited.json"
+    _write_sealed(doc, p)
+    with pytest.raises(DataError, match=match):
+        sim4opt.load_bundle(p)
+
+
+def test_bundle_corruption_is_data_error(tmp_path):
+    p, doc = _bundle_doc(tmp_path)
+    data = p.read_bytes()
+    flips = {
+        "payload": data.index(doc["states"][:16].encode()) + 5,
+        "params": data.index(b'"lengthscale":') + len(b'"lengthscale":') + 2,
+        "newline": len(data) - 1,
+    }
+    for name, at in flips.items():
+        bad = bytearray(data)
+        bad[at] = ord(" ") if name == "newline" else bad[at] ^ 0x01
+        p.write_bytes(bytes(bad))
+        with pytest.raises(DataError, match="checksum"):
+            sim4opt.load_bundle(p)
+    for cut in (0, 1, len(data) // 2, len(data) - 2):
+        p.write_bytes(data[:cut])
+        with pytest.raises(DataError):
+            sim4opt.load_bundle(p)

@@ -213,3 +213,28 @@ def test_checkpoint_bad_magic(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(Exception):
         sg.load_checkpoint(p)
+
+
+@pytest.mark.parametrize("norm", [sg.NORM_BATCH, sg.NORM_NONE])
+def test_checkpoint_rejects_short_and_long_files(tmp_path, norm):
+    net = small_net(dim=8, hidden=(4,), norm=norm, seed=23)
+    p = tmp_path / "net.ckpt"
+    sg.save_checkpoint(net, p)
+    data = p.read_bytes()
+    for bad in (data[:-40], data[:-1], data[:9], data[:6], data + b"\x00" * 8, data + b"x"):
+        p.write_bytes(bad)
+        with pytest.raises(sg.NumericalError):
+            sg.load_checkpoint(p)
+
+
+def test_checkpoint_rejects_bad_header(tmp_path):
+    net = small_net(dim=3, hidden=(5,), seed=24)
+    p = tmp_path / "net.ckpt"
+    sg.save_checkpoint(net, p)
+    data = p.read_bytes()
+    for old, new in ((b'"mode": "eval"', b'"mode": "evil"'), (b'"n_stats": 1', b'"n_stats": 2'),
+                     (b'"input_dim"', b'"input_dam"'), (b'"hidden": [', b'"hidden": {')):
+        assert old in data
+        p.write_bytes(data.replace(old, new))
+        with pytest.raises(sg.NumericalError, match="header"):
+            sg.load_checkpoint(p)
