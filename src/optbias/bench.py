@@ -1,6 +1,7 @@
-"""Analytic oracles, offline benchmark construction, method runners, and the
-diagnostics (gradient-error-vs-data-fraction curve, pseudo-value distribution,
-score aggregation).
+"""Analytic oracles, offline benchmark construction, the pipeline stages that
+both the method runners and the CLI subcommands call, the method runners, and
+the diagnostics (gradient-error-vs-data-fraction curve, pseudo-value
+distribution, score aggregation).
 
 All oracles are oriented for maximization: textbook minimization functions
 (sphere, ackley, rastrigin) are negated so higher is always better. The oracle
@@ -27,9 +28,9 @@ from .dataio import (
 )
 from .errors import ConfigError
 from .matchloss import DEFAULT_MODE, IntegralMode, match_loss, mse_loss, offline_pairs
-from .metatrain import MetaConfig, finetune, meta_train
+from .metatrain import MetaConfig, TrainStats, finetune, meta_train
 from .numerics import RngState
-from .search import gradient_search, init_candidates
+from .search import CandidateSet, gradient_search, init_candidates
 from .sim4opt import Sim4OptConfig, SyntheticTask, Trajectory, generate_tasks
 
 METHODS = ("ga", "matchopt", "optbias", "optbias_pretrain", "optbias_random_gen")
@@ -183,6 +184,20 @@ class PipelineConfig:
     batch_size: int = 128
     expt_param_range: tuple[float, float] = (0.1, 10.0)
 
+    def __post_init__(self):
+        sg.Architecture(1, self.hidden, self.slope, self.norm)
+        least = {"finetune_epochs": 0, "search_steps": 0, "supervised_epochs": 0,
+                 "matchopt_epochs": 0, "finetune_batch": 1, "batch_size": 1, "n_candidates": 1}
+        for name, lo in least.items():
+            if getattr(self, name) < lo:
+                raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
+        if self.search_gamma <= 0:
+            raise ValueError(f"search_gamma must be positive, got {self.search_gamma}")
+        if self.top_k < self.n_candidates:
+            raise ValueError(
+                f"top_k ({self.top_k}) must be >= n_candidates ({self.n_candidates})"
+            )
+
 
 @dataclass(frozen=True)
 class ScoreReport:
@@ -268,6 +283,54 @@ def expt_style_generate(
     return tasks
 
 
+# The rng stream of each pipeline stage. RngState.split ignores the parent's
+# state, so a stage's draws depend only on (seed, stream), and the chained CLI
+# stages replay run_method exactly.
+STREAM_NET, STREAM_BASELINE, STREAM_TASKS, STREAM_META, STREAM_FT, STREAM_CAND = range(1, 7)
+
+
+def stage_gen_tasks(
+    std_ds: OfflineDataset, cfg: PipelineConfig, seed: int, random_gen: bool = False
+) -> list[SyntheticTask]:
+    """Sim4Opt tasks around the fitted base GP, or the comparison generator's."""
+    rng = RngState(seed).split(STREAM_TASKS)
+    if random_gen:
+        return expt_style_generate(std_ds, cfg, rng)
+    sim_cfg = replace(cfg.sim, base_params=_fit_base_params(std_ds, cfg))
+    return generate_tasks(std_ds, sim_cfg, rng)
+
+
+def stage_meta_train(
+    dim: int, tasks: list[SyntheticTask], cfg: PipelineConfig, seed: int,
+    pretrain: bool = False,
+) -> tuple[sg.SurrogateNet, TrainStats]:
+    """A fresh surrogate, meta-trained (or pretrained) on the tasks."""
+    net = _make_net(dim, cfg, RngState(seed).split(STREAM_NET))
+    variant = "pretrain" if pretrain else "meta"
+    rng = RngState(seed).split(STREAM_META)
+    return net, meta_train(net, tasks, cfg.meta, rng, variant=variant)
+
+
+def stage_finetune(net, std_ds: OfflineDataset, cfg: PipelineConfig, seed: int):
+    """Gradient matching on the offline pairs, in place."""
+    return finetune(net, std_ds, cfg.finetune_epochs, RngState(seed).split(STREAM_FT),
+                    lr=cfg.finetune_lr, batch_size=cfg.finetune_batch,
+                    mode=cfg.meta.integral_mode)
+
+
+def stage_search(
+    net, std_ds: OfflineDataset, cfg: PipelineConfig, seed: int,
+    bounds: np.ndarray | None = None,
+) -> CandidateSet:
+    """Candidates from the offline pool, ascended on the surrogate; designs
+    stay in standardized units."""
+    net.eval()
+    cands = init_candidates(
+        net, std_ds, RngState(seed).split(STREAM_CAND), cfg.top_k, cfg.n_candidates
+    )
+    return gradient_search(net, cands, cfg.search_gamma, cfg.search_steps, bounds)
+
+
 def run_method(
     method: str, b: BenchmarkInstance, cfg: PipelineConfig, seed: int
 ) -> ScoreReport:
@@ -278,35 +341,22 @@ def run_method(
     t0 = time.perf_counter()
     rng = RngState(seed)
     std_ds, scaler = standardize(b.offline_subset)
-    net = _make_net(std_ds.dim, cfg, rng.split(1))
-    bounds = _search_bounds(b, scaler)
 
-    if method == "ga":
-        _train_supervised(net, std_ds, cfg.supervised_epochs, cfg.batch_size, rng.split(2))
-    elif method == "matchopt":
-        _train_matchopt(net, std_ds, cfg.matchopt_epochs, cfg.batch_size, rng.split(2))
-    else:
-        base = _fit_base_params(std_ds, cfg)
-        sim_cfg = replace(cfg.sim, base_params=base)
-        if method == "optbias_random_gen":
-            tasks = expt_style_generate(std_ds, cfg, rng.split(3))
+    if method in ("ga", "matchopt"):
+        net = _make_net(std_ds.dim, cfg, rng.split(STREAM_NET))
+        if method == "ga":
+            _train_supervised(net, std_ds, cfg.supervised_epochs, cfg.batch_size,
+                              rng.split(STREAM_BASELINE))
         else:
-            tasks = generate_tasks(std_ds, sim_cfg, rng.split(3))
-        variant = "pretrain" if method == "optbias_pretrain" else "meta"
-        meta_train(net, tasks, cfg.meta, rng.split(4), variant=variant)
-        finetune(
-            net,
-            std_ds,
-            cfg.finetune_epochs,
-            rng.split(5),
-            lr=cfg.finetune_lr,
-            batch_size=cfg.finetune_batch,
-            mode=cfg.meta.integral_mode,
-        )
+            _train_matchopt(net, std_ds, cfg.matchopt_epochs, cfg.batch_size,
+                            rng.split(STREAM_BASELINE))
+    else:
+        tasks = stage_gen_tasks(std_ds, cfg, seed, random_gen=method == "optbias_random_gen")
+        net, _ = stage_meta_train(std_ds.dim, tasks, cfg, seed,
+                                  pretrain=method == "optbias_pretrain")
+        stage_finetune(net, std_ds, cfg, seed)
 
-    net.eval()
-    cands = init_candidates(net, std_ds, rng.split(6), cfg.top_k, cfg.n_candidates)
-    final = gradient_search(net, cands, cfg.search_gamma, cfg.search_steps, bounds)
+    final = stage_search(net, std_ds, cfg, seed, _search_bounds(b, scaler))
     raw = scaler.inverse_x(final.designs)
     values = b.oracle.eval_batch(raw)
     y_min, y_max = b.y_bounds

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,9 +29,9 @@ from .dataio import (
 )
 from .errors import ConfigError, DataError, NumericalError, OptBiasError
 from .matchloss import IntegralMode
-from .metatrain import MetaConfig, TrainStats, finetune, meta_train
+from .metatrain import MetaConfig
 from .numerics import RngState
-from .search import gradient_search, init_candidates, write_designs_csv
+from .search import write_designs_csv
 from .sim4opt import InvalidDelta, Sim4OptConfig
 
 
@@ -141,59 +141,46 @@ def _config_snapshot(cfg: dict) -> dict:
 
 def build_pipeline_config(cfg: dict) -> bench.PipelineConfig:
     """Build the typed pipeline config; invalid values raise ConfigError."""
-    if cfg["search"]["top_k"] < cfg["search"]["n_candidates"]:
-        raise ConfigError(
-            f"search.top_k ({cfg['search']['top_k']}) must be >= "
-            f"search.n_candidates ({cfg['search']['n_candidates']})"
-        )
+    sim, meta = cfg["sim4opt"], cfg["meta"]
     try:
-        return _pipeline_config(cfg)
-    except (ValueError, InvalidDelta) as exc:
+        return bench.PipelineConfig(
+            sim=Sim4OptConfig(
+                n_functions=sim["n_functions"],
+                evolve_steps=sim["evolve_steps"],
+                step_size=sim["step_size"],
+                delta_frac=sim["delta_frac"],
+                evolution_mode=sim["evolution_mode"],
+                ucb_beta=sim["ucb_beta"],
+                base_params=gp.KernelParams(
+                    sim["kernel"], sim["lengthscale"], sim["signal_variance"], sim["noise"]
+                ),
+            ),
+            meta=MetaConfig(
+                epochs=meta["epochs"],
+                tasks_per_batch=meta["tasks_per_batch"],
+                inner_lr=meta["inner_lr"],
+                outer_lr=meta["outer_lr"],
+                context_pairs=meta["context_pairs"],
+                target_pairs=meta["target_pairs"],
+                integral_mode=IntegralMode(meta["integral"], meta["quadrature_nodes"]),
+            ),
+            hidden=cfg["surrogate"]["hidden"],
+            slope=cfg["surrogate"]["slope"],
+            norm=cfg["surrogate"]["norm"],
+            fit_gp=sim["fit_gp"],
+            finetune_epochs=cfg["finetune"]["epochs"],
+            finetune_lr=cfg["finetune"]["lr"],
+            finetune_batch=cfg["finetune"]["batch"],
+            search_steps=cfg["search"]["steps"],
+            search_gamma=cfg["search"]["gamma"],
+            top_k=cfg["search"]["top_k"],
+            n_candidates=cfg["search"]["n_candidates"],
+            supervised_epochs=cfg["bench"]["supervised_epochs"],
+            matchopt_epochs=cfg["bench"]["matchopt_epochs"],
+            batch_size=cfg["bench"]["batch_size"],
+        )
+    except (ValueError, InvalidDelta, sg.InvalidArchitecture) as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _pipeline_config(cfg: dict) -> bench.PipelineConfig:
-    sim = Sim4OptConfig(
-        n_functions=cfg["sim4opt"]["n_functions"],
-        evolve_steps=cfg["sim4opt"]["evolve_steps"],
-        step_size=cfg["sim4opt"]["step_size"],
-        delta_frac=cfg["sim4opt"]["delta_frac"],
-        evolution_mode=cfg["sim4opt"]["evolution_mode"],
-        ucb_beta=cfg["sim4opt"]["ucb_beta"],
-        base_params=gp.KernelParams(
-            cfg["sim4opt"]["kernel"],
-            cfg["sim4opt"]["lengthscale"],
-            cfg["sim4opt"]["signal_variance"],
-            cfg["sim4opt"]["noise"],
-        ),
-    )
-    meta = MetaConfig(
-        epochs=cfg["meta"]["epochs"],
-        tasks_per_batch=cfg["meta"]["tasks_per_batch"],
-        inner_lr=cfg["meta"]["inner_lr"],
-        outer_lr=cfg["meta"]["outer_lr"],
-        context_pairs=cfg["meta"]["context_pairs"],
-        target_pairs=cfg["meta"]["target_pairs"],
-        integral_mode=IntegralMode(cfg["meta"]["integral"], cfg["meta"]["quadrature_nodes"]),
-    )
-    return bench.PipelineConfig(
-        sim=sim,
-        meta=meta,
-        hidden=cfg["surrogate"]["hidden"],
-        slope=cfg["surrogate"]["slope"],
-        norm=cfg["surrogate"]["norm"],
-        fit_gp=cfg["sim4opt"]["fit_gp"],
-        finetune_epochs=cfg["finetune"]["epochs"],
-        finetune_lr=cfg["finetune"]["lr"],
-        finetune_batch=cfg["finetune"]["batch"],
-        search_steps=cfg["search"]["steps"],
-        search_gamma=cfg["search"]["gamma"],
-        top_k=cfg["search"]["top_k"],
-        n_candidates=cfg["search"]["n_candidates"],
-        supervised_epochs=cfg["bench"]["supervised_epochs"],
-        matchopt_epochs=cfg["bench"]["matchopt_epochs"],
-        batch_size=cfg["bench"]["batch_size"],
-    )
 
 
 def _outdir(cfg: dict, override: str | None) -> Path:
@@ -202,110 +189,52 @@ def _outdir(cfg: dict, override: str | None) -> Path:
     return out
 
 
-def _file_hash(path) -> str:
-    return content_hash(Path(path).read_bytes())
-
-
-# rng stream indices shared between run_method and the file-mediated stages so
-# a chained gen-tasks -> meta-train -> finetune -> search replays bench exactly
-STREAM_NET, STREAM_BASELINE, STREAM_TASKS, STREAM_META, STREAM_FT, STREAM_CAND = range(1, 7)
+@contextmanager
+def _stage(cfg: dict, args, name: str, *inputs: str):
+    """The output dir, typed config and standardized --data of one pipeline
+    stage. When the stage's body succeeds, <name>_manifest.json records the
+    config, the seed and the hashes of --data and of the named file args."""
+    out = _outdir(cfg, args.output_dir)
+    pcfg = build_pipeline_config(cfg)
+    std_ds, _ = standardize(load_dataset(args.data))
+    yield out, pcfg, std_ds
+    hashes = {k: content_hash(Path(getattr(args, k)).read_bytes()) for k in ("data",) + inputs}
+    write_manifest(out / f"{name}_manifest.json", _config_snapshot(cfg), [args.seed], hashes)
 
 
 def cmd_gen_tasks(cfg, args) -> int:
-    out = _outdir(cfg, args.output_dir)
-    pcfg = build_pipeline_config(cfg)
-    ds = load_dataset(args.data)
-    std_ds, _ = standardize(ds)
-    seed = args.seed
-    rng = RngState(seed)
-    base = bench._fit_base_params(std_ds, pcfg)
-    sim_cfg = replace(pcfg.sim, base_params=base)
-    tasks = sim4opt.generate_tasks(std_ds, sim_cfg, rng.split(STREAM_TASKS))
-    bundle = out / "tasks.json"
-    sim4opt.save_bundle(tasks, bundle, config=_config_snapshot(cfg)["sim4opt"])
-    write_manifest(
-        out / "gen_tasks_manifest.json",
-        _config_snapshot(cfg),
-        [seed],
-        {"data": _file_hash(args.data)},
-    )
-    print(f"wrote {len(tasks)} tasks to {bundle}")
+    with _stage(cfg, args, "gen_tasks") as (out, pcfg, std_ds):
+        tasks = bench.stage_gen_tasks(std_ds, pcfg, args.seed)
+        sim4opt.save_bundle(tasks, out / "tasks.json", config=_config_snapshot(cfg)["sim4opt"])
+    print(f"wrote {len(tasks)} tasks to {out / 'tasks.json'}")
     return 0
 
 
 def cmd_meta_train(cfg, args) -> int:
-    out = _outdir(cfg, args.output_dir)
-    pcfg = build_pipeline_config(cfg)
-    ds = load_dataset(args.data)
-    std_ds, _ = standardize(ds)
-    tasks = sim4opt.load_bundle(args.tasks)
-    seed = args.seed
-    rng = RngState(seed)
-    net = bench._make_net(std_ds.dim, pcfg, rng.split(STREAM_NET))
-    variant = "pretrain" if args.pretrain else "meta"
-    stats = meta_train(net, tasks, pcfg.meta, rng.split(STREAM_META), variant=variant)
-    ckpt = out / "meta.ckpt"
-    sg.save_checkpoint(net, ckpt)
-    stats.write_csv(out / "train_log.csv")
-    write_manifest(
-        out / "meta_train_manifest.json",
-        _config_snapshot(cfg),
-        [seed],
-        {"data": _file_hash(args.data), "tasks": _file_hash(args.tasks)},
-    )
-    print(f"wrote checkpoint {ckpt}")
+    with _stage(cfg, args, "meta_train", "tasks") as (out, pcfg, std_ds):
+        tasks = sim4opt.load_bundle(args.tasks)
+        net, stats = bench.stage_meta_train(std_ds.dim, tasks, pcfg, args.seed, args.pretrain)
+        sg.save_checkpoint(net, out / "meta.ckpt")
+        stats.write_csv(out / "train_log.csv")
+    print(f"wrote checkpoint {out / 'meta.ckpt'}")
     return 0
 
 
 def cmd_finetune(cfg, args) -> int:
-    out = _outdir(cfg, args.output_dir)
-    pcfg = build_pipeline_config(cfg)
-    ds = load_dataset(args.data)
-    std_ds, _ = standardize(ds)
-    net = sg.load_checkpoint(args.checkpoint)
-    seed = args.seed
-    finetune(
-        net,
-        std_ds,
-        pcfg.finetune_epochs,
-        RngState(seed).split(STREAM_FT),
-        lr=pcfg.finetune_lr,
-        batch_size=pcfg.finetune_batch,
-        mode=pcfg.meta.integral_mode,
-    )
-    ckpt = out / "finetuned.ckpt"
-    sg.save_checkpoint(net, ckpt)
-    write_manifest(
-        out / "finetune_manifest.json",
-        _config_snapshot(cfg),
-        [seed],
-        {"data": _file_hash(args.data), "checkpoint": _file_hash(args.checkpoint)},
-    )
-    print(f"wrote checkpoint {ckpt}")
+    with _stage(cfg, args, "finetune", "checkpoint") as (out, pcfg, std_ds):
+        net = sg.load_checkpoint(args.checkpoint)
+        bench.stage_finetune(net, std_ds, pcfg, args.seed)
+        sg.save_checkpoint(net, out / "finetuned.ckpt")
+    print(f"wrote checkpoint {out / 'finetuned.ckpt'}")
     return 0
 
 
 def cmd_search(cfg, args) -> int:
-    out = _outdir(cfg, args.output_dir)
-    pcfg = build_pipeline_config(cfg)
-    ds = load_dataset(args.data)
-    std_ds, _ = standardize(ds)
-    net = sg.load_checkpoint(args.checkpoint)
-    net.eval()
-    seed = args.seed
-    cands = init_candidates(
-        net, std_ds, RngState(seed).split(STREAM_CAND), pcfg.top_k, pcfg.n_candidates
-    )
-    final = gradient_search(net, cands, pcfg.search_gamma, pcfg.search_steps)
-    designs = out / "designs.csv"
-    write_designs_csv(designs, final, pcfg.search_steps, names=ds.names)
-    write_manifest(
-        out / "search_manifest.json",
-        _config_snapshot(cfg),
-        [seed],
-        {"data": _file_hash(args.data), "checkpoint": _file_hash(args.checkpoint)},
-    )
-    print(f"wrote {designs}")
+    with _stage(cfg, args, "search", "checkpoint") as (out, pcfg, std_ds):
+        net = sg.load_checkpoint(args.checkpoint)
+        final = bench.stage_search(net, std_ds, pcfg, args.seed)
+        write_designs_csv(out / "designs.csv", final, pcfg.search_steps, names=std_ds.names)
+    print(f"wrote {out / 'designs.csv'}")
     return 0
 
 
@@ -391,6 +320,17 @@ def cmd_grad_error(cfg, args) -> int:
 
 
 _ABLATE_AXES = ("meta", "generator", "gp", "K")
+# [sim4opt] overrides per labeled optbias variant of the gp and K axes
+_ABLATE_VARIANTS = {
+    "gp": {
+        "rbf": {},
+        "matern": {"kernel": "matern52"},
+        "ucb": {"evolution_mode": "ucb"},
+        "ls1.5": {"lengthscale": 1.5, "fit_gp": False},
+        "ls2.0": {"lengthscale": 2.0, "fit_gp": False},
+    },
+    "K": {f"K={k}": {"n_functions": k} for k in (8, 16, 32, 64, 128)},
+}
 
 
 def cmd_ablate(cfg, args) -> int:
@@ -403,30 +343,12 @@ def cmd_ablate(cfg, args) -> int:
         reports = _run_bench_grid(cfg, ("optbias", "optbias_pretrain"), oracles, seeds, jobs)
     elif axis == "generator":
         reports = _run_bench_grid(cfg, ("optbias", "optbias_random_gen"), oracles, seeds, jobs)
-    elif axis == "gp":
+    elif axis in _ABLATE_VARIANTS:
         reports = []
-        variants = {
-            "rbf": {},
-            "matern": {"kernel": "matern52"},
-            "ucb": {"evolution_mode": "ucb"},
-            "ls1.5": {"lengthscale": 1.5, "fit_gp": False},
-            "ls2.0": {"lengthscale": 2.0, "fit_gp": False},
-        }
-        for label, overrides in variants.items():
-            vcfg = json.loads(json.dumps(_config_snapshot(cfg)))
-            for k, v in overrides.items():
-                vcfg["sim4opt"][k] = v
-            vcfg = _restore_tuples(vcfg)
+        for label, overrides in _ABLATE_VARIANTS[axis].items():
+            vcfg = {**cfg, "sim4opt": {**cfg["sim4opt"], **overrides}}
             for r in _run_bench_grid(vcfg, ("optbias",), oracles, seeds, jobs):
                 reports.append(replace(r, method=f"optbias[{label}]"))
-    elif axis == "K":
-        reports = []
-        for k in (8, 16, 32, 64, 128):
-            vcfg = json.loads(json.dumps(_config_snapshot(cfg)))
-            vcfg["sim4opt"]["n_functions"] = k
-            vcfg = _restore_tuples(vcfg)
-            for r in _run_bench_grid(vcfg, ("optbias",), oracles, seeds, jobs):
-                reports.append(replace(r, method=f"optbias[K={k}]"))
     else:
         raise ConfigError(f"unknown ablation axis {axis!r}; choose from {_ABLATE_AXES}")
     write_score_csv(out / f"ablate_{axis}.csv", _score_rows(reports))
@@ -434,13 +356,6 @@ def cmd_ablate(cfg, args) -> int:
     write_manifest(out / f"ablate_{axis}_manifest.json", _config_snapshot(cfg), seeds, {})
     print(f"wrote {out / f'ablate_{axis}.csv'}")
     return 0
-
-
-def _restore_tuples(cfg_json: dict) -> dict:
-    out = {}
-    for section, keys in cfg_json.items():
-        out[section] = {k: tuple(v) if isinstance(v, list) else v for k, v in keys.items()}
-    return out
 
 
 def cmd_inspect(cfg, args) -> int:

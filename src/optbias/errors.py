@@ -19,3 +19,11 @@ class DataError(OptBiasError):
 
 class ConfigError(OptBiasError):
     """Invalid configuration value or file."""
+
+
+class DimensionMismatch(NumericalError):
+    """Inputs whose feature dimension disagrees with a model's."""
+
+
+class ShapeMismatch(NumericalError):
+    """Arrays whose shapes disagree."""

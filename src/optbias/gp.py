@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import OfflineDataset
-from .errors import NumericalError
+from .errors import DimensionMismatch, NumericalError
 from .numerics import cholesky_factor, cholesky_solve
 
 log = logging.getLogger(__name__)
@@ -24,10 +24,6 @@ RBF = "rbf"
 MATERN52 = "matern52"
 
 SQRT5 = np.sqrt(5.0)
-
-
-class DimensionMismatch(NumericalError):
-    pass
 
 
 class EmptyGrid(NumericalError):

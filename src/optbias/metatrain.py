@@ -8,7 +8,6 @@ applied to phi directly, ignoring the Jacobian of the inner step.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,41 +42,23 @@ class TrainStats:
     pre_loss: list[float] = field(default_factory=list)
     post_loss: list[float] = field(default_factory=list)
     outer_loss: list[float] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
 
-    def append(self, epoch, pre, post, outer, secs):
+    def append(self, epoch, pre, post, outer):
         self.epoch.append(epoch)
         self.pre_loss.append(pre)
         self.post_loss.append(post)
         self.outer_loss.append(outer)
-        self.seconds.append(secs)
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("epoch,mean_pre_loss,mean_post_loss,outer_loss,seconds\n")
-            for row in zip(self.epoch, self.pre_loss, self.post_loss, self.outer_loss, self.seconds):
+            fh.write("epoch,mean_pre_loss,mean_post_loss,outer_loss\n")
+            for row in zip(self.epoch, self.pre_loss, self.post_loss, self.outer_loss):
                 fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _task_batch(t: SyntheticTask, rng: RngState, count: int) -> PairBatch:
     starts, ends, dz = build_pairs(t, rng, count)
     return PairBatch(starts, ends, dz)
-
-
-def inner_adapt(net, task: SyntheticTask, cfg: MetaConfig, rng: RngState):
-    """One fast-weight SGD step on a context batch; never mutates the net.
-
-    Returns (fast_params, pre_loss, post_loss) where post_loss is evaluated at
-    the fast weights on a fresh target batch.
-    """
-    if not task.trajectories:
-        raise EmptyTask(f"task {task.task_id} is empty")
-    context = _task_batch(task, rng, cfg.context_pairs)
-    pre_loss, grad = match_loss(net, context, cfg.integral_mode)
-    fast = net.params - cfg.inner_lr * grad
-    target = _task_batch(task, rng, cfg.target_pairs)
-    post_loss, _ = match_loss(net, target, cfg.integral_mode, params=fast)
-    return fast, pre_loss, post_loss
 
 
 def _refresh_norm_stats(net, batch: PairBatch):
@@ -92,6 +73,27 @@ def _refresh_norm_stats(net, batch: PairBatch):
     net.mode = was
 
 
+def inner_adapt(net, task: SyntheticTask, cfg: MetaConfig, rng: RngState,
+                update_stats: bool = False):
+    """One fast-weight SGD step on a context batch; never changes the params.
+
+    Returns (fast_params, pre_loss, post_loss, post_grad) where post_loss and
+    its gradient are evaluated at the fast weights on a fresh target batch.
+    With update_stats the norm running statistics are first refreshed from
+    the context batch.
+    """
+    if not task.trajectories:
+        raise EmptyTask(f"task {task.task_id} is empty")
+    context = _task_batch(task, rng, cfg.context_pairs)
+    if update_stats:
+        _refresh_norm_stats(net, context)
+    pre_loss, grad = match_loss(net, context, cfg.integral_mode)
+    fast = net.params - cfg.inner_lr * grad
+    target = _task_batch(task, rng, cfg.target_pairs)
+    post_loss, post_grad = match_loss(net, target, cfg.integral_mode, params=fast)
+    return fast, pre_loss, post_loss, post_grad
+
+
 def _sample_task_indices(n_tasks: int, k: int, rng: RngState) -> np.ndarray:
     if k >= n_tasks:
         return np.arange(n_tasks)
@@ -99,37 +101,28 @@ def _sample_task_indices(n_tasks: int, k: int, rng: RngState) -> np.ndarray:
 
 
 def meta_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState, epoch=0,
-               stats: TrainStats | None = None, update_stats: bool = True):
+               stats: TrainStats | None = None):
     """One pass: per sampled task, inner-adapt then accumulate the outer
     (first-order) gradient at the fast weights; one Adam step at the outer lr."""
     if not tasks:
         raise EmptyTask("no tasks")
-    t0 = time.perf_counter()
     idx = _sample_task_indices(len(tasks), cfg.tasks_per_batch, rng)
     total_grad = np.zeros_like(net.params)
-    pres, posts, outers = [], [], []
+    pres, posts = [], []
     for i in idx:
-        task = tasks[i]
-        context = _task_batch(task, rng, cfg.context_pairs)
-        if update_stats:
-            _refresh_norm_stats(net, context)
-        pre_loss, grad = match_loss(net, context, cfg.integral_mode)
-        fast = net.params - cfg.inner_lr * grad
-        target = _task_batch(task, rng, cfg.target_pairs)
-        outer_loss, outer_grad = match_loss(net, target, cfg.integral_mode, params=fast)
-        total_grad += outer_grad
+        _, pre_loss, post_loss, post_grad = inner_adapt(net, tasks[i], cfg, rng, update_stats=True)
+        total_grad += post_grad
         pres.append(pre_loss)
-        posts.append(outer_loss)
-        outers.append(outer_loss)
+        posts.append(post_loss)
     sg.apply_update(net, total_grad / len(idx), cfg.outer_lr, opt)
+    outer = float(np.mean(posts))
     if stats is not None:
-        stats.append(epoch, float(np.mean(pres)), float(np.mean(posts)),
-                     float(np.mean(outers)), time.perf_counter() - t0)
-    return float(np.mean(outers))
+        stats.append(epoch, float(np.mean(pres)), outer, outer)
+    return outer
 
 
 def pretrain_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState, epoch=0,
-                   stats: TrainStats | None = None, update_stats: bool = True):
+                   stats: TrainStats | None = None):
     """Ablation variant: pooled mini-batch gradient matching, no inner loop.
 
     Draws the same per-task context/target batches as meta_epoch so that with
@@ -137,15 +130,12 @@ def pretrain_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState
     """
     if not tasks:
         raise EmptyTask("no tasks")
-    t0 = time.perf_counter()
     idx = _sample_task_indices(len(tasks), cfg.tasks_per_batch, rng)
     total_grad = np.zeros_like(net.params)
     losses = []
     for i in idx:
         task = tasks[i]
-        context = _task_batch(task, rng, cfg.context_pairs)
-        if update_stats:
-            _refresh_norm_stats(net, context)
+        _refresh_norm_stats(net, _task_batch(task, rng, cfg.context_pairs))
         target = _task_batch(task, rng, cfg.target_pairs)
         loss, grad = match_loss(net, target, cfg.integral_mode)
         total_grad += grad
@@ -153,7 +143,7 @@ def pretrain_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState
     sg.apply_update(net, total_grad / len(idx), cfg.outer_lr, opt)
     mean_loss = float(np.mean(losses))
     if stats is not None:
-        stats.append(epoch, mean_loss, mean_loss, mean_loss, time.perf_counter() - t0)
+        stats.append(epoch, mean_loss, mean_loss, mean_loss)
     return mean_loss
 
 

@@ -15,7 +15,7 @@ import logging
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ShapeMismatch
 
 log = logging.getLogger(__name__)
 
@@ -29,10 +29,6 @@ class NotPositiveDefinite(NumericalError):
 
 
 class NonSquare(NumericalError):
-    pass
-
-
-class ShapeMismatch(NumericalError):
     pass
 
 

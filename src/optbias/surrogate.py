@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DimensionMismatch, NumericalError, ShapeMismatch
 from .numerics import RngState
 
 EPS = 1e-5
@@ -33,15 +33,7 @@ class InvalidArchitecture(NumericalError):
     pass
 
 
-class DimensionMismatch(NumericalError):
-    pass
-
-
 class TrainModeInputGrad(NumericalError):
-    pass
-
-
-class ShapeMismatch(NumericalError):
     pass
 
 

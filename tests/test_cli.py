@@ -123,6 +123,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("sim4opt", "kernel = cosine"),
     ("sim4opt", "delta_frac = 1.5"),
     ("search", "top_k = 10\nn_candidates = 20"),
+    ("search", "steps = -1"),
+    ("search", "gamma = 0"),
+    ("finetune", "epochs = -3"),
+    ("finetune", "batch = 0"),
+    ("surrogate", "hidden = 0,5"),
+    ("surrogate", "norm = bogus"),
+    ("bench", "batch_size = 0"),
+    ("bench", "matchopt_epochs = -1"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, data_csv, capsys, section, body):
     p = tmp_path / "bad.ini"
@@ -164,6 +172,18 @@ def test_gen_tasks_writes_identical_bytes(tmp_path, data_csv, cfg_file):
                          "gen-tasks", "--data", str(data_csv), "--seed", "3"]) == 0
         bundles.append((out / "tasks.json").read_bytes())
     assert bundles[0] == bundles[1]
+
+
+def test_meta_train_writes_identical_bytes(tmp_path, data_csv, cfg_file):
+    base = ["--config", str(cfg_file), "--output-dir"]
+    assert cli.main(base + [str(tmp_path), "gen-tasks", "--data", str(data_csv)]) == 0
+    blobs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(base + [str(out), "meta-train", "--data", str(data_csv),
+                                "--tasks", str(tmp_path / "tasks.json"), "--seed", "3"]) == 0
+        blobs.append([(out / f).read_bytes() for f in ("train_log.csv", "meta.ckpt")])
+    assert blobs[0] == blobs[1]
 
 
 def test_v1_bundle_exit_3(tmp_path, data_csv, cfg_file, capsys):
@@ -274,47 +294,39 @@ def test_bench_determinism_and_jobs(tmp_path, cfg_file):
     assert outs[0] == outs[2]
 
 
-def test_pipeline_composability(tmp_path, data_csv, cfg_file):
-    # chained gen-tasks -> meta-train -> finetune -> search must match the
-    # in-process pipeline run with the same seed
-    from optbias import bench as bench_mod, sim4opt, surrogate as sg
-    from optbias.dataio import load_dataset, standardize
-    from optbias.metatrain import finetune, meta_train
-    from optbias.search import gradient_search, init_candidates
-
-    out = tmp_path / "staged"
-    base = ["--config", str(cfg_file), "--output-dir", str(out)]
-    assert cli.main(base + ["gen-tasks", "--data", str(data_csv), "--seed", "7"]) == 0
-    assert cli.main(base + ["meta-train", "--data", str(data_csv),
-                            "--tasks", str(out / "tasks.json"), "--seed", "7"]) == 0
-    assert cli.main(base + ["finetune", "--data", str(data_csv),
-                            "--checkpoint", str(out / "meta.ckpt"), "--seed", "7"]) == 0
-    assert cli.main(base + ["search", "--data", str(data_csv),
-                            "--checkpoint", str(out / "finetuned.ckpt"), "--seed", "7"]) == 0
-    staged = (out / "designs.csv").read_text()
+def test_pipeline_composability(tmp_path, cfg_file):
+    # the chained gen-tasks -> meta-train -> finetune -> search replays
+    # bench.run_method: mapped back through the scaler, its designs score
+    # exactly as run_method's candidates
+    from optbias import bench
+    from optbias.dataio import load_dataset, normalized_score, standardize
 
     cfg = cli.parse_config(str(cfg_file))
-    pcfg = cli.build_pipeline_config(cfg)
-    ds = load_dataset(data_csv)
-    std_ds, _ = standardize(ds)
-    rng = RngState(7)
-    net = bench_mod._make_net(std_ds.dim, pcfg, rng.split(cli.STREAM_NET))
-    base_params = bench_mod._fit_base_params(std_ds, pcfg)
-    from dataclasses import replace
-    sim_cfg = replace(pcfg.sim, base_params=base_params)
-    tasks = sim4opt.generate_tasks(std_ds, sim_cfg, rng.split(cli.STREAM_TASKS))
-    meta_train(net, tasks, pcfg.meta, rng.split(cli.STREAM_META))
-    finetune(net, std_ds, pcfg.finetune_epochs, rng.split(cli.STREAM_FT),
-             lr=pcfg.finetune_lr, batch_size=pcfg.finetune_batch,
-             mode=pcfg.meta.integral_mode)
-    net.eval()
-    cands = init_candidates(net, std_ds, rng.split(cli.STREAM_CAND),
-                            pcfg.top_k, pcfg.n_candidates)
-    final = gradient_search(net, cands, pcfg.search_gamma, pcfg.search_steps)
-
-    lines = staged.strip().splitlines()[1:]
-    got = np.array([[float(v) for v in ln.split(",")[:2]] for ln in lines])
-    assert np.allclose(got, final.designs, rtol=0, atol=0)
+    b = bench.make_benchmark(bench.Oracle("sphere", cfg["bench"]["dim"]), RngState(11),
+                             cfg["bench"]["n_full"], cfg["bench"]["frac"])
+    data = tmp_path / "offline.csv"
+    save_dataset(b.offline_subset, data)
+    scaler = standardize(load_dataset(data))[1]
+    bounds = bench._search_bounds(b, scaler)
+    for method, flags in (("optbias", []), ("optbias_pretrain", ["--pretrain"])):
+        out = tmp_path / method
+        base = ["--config", str(cfg_file), "--output-dir", str(out)]
+        common = ["--data", str(data), "--seed", "7"]
+        assert cli.main(base + ["gen-tasks"] + common) == 0
+        assert cli.main(base + ["meta-train", "--tasks", str(out / "tasks.json")]
+                        + common + flags) == 0
+        assert cli.main(base + ["finetune", "--checkpoint", str(out / "meta.ckpt")]
+                        + common) == 0
+        assert cli.main(base + ["search", "--checkpoint", str(out / "finetuned.ckpt")]
+                        + common) == 0
+        lines = (out / "designs.csv").read_text().strip().splitlines()[1:]
+        designs = np.array([[float(v) for v in ln.split(",")[:2]] for ln in lines])
+        # the CLI searches unbounded; run_method's domain box must not bind here
+        assert ((designs > bounds[:, 0]) & (designs < bounds[:, 1])).all()
+        values = b.oracle.eval_batch(scaler.inverse_x(designs))
+        got = np.array([normalized_score(v, *b.y_bounds) for v in values])
+        want = bench.run_method(method, b, cli.build_pipeline_config(cfg), 7).candidate_scores
+        assert np.array_equal(got, want)
 
 
 def test_grad_error_command(tmp_path, cfg_file):

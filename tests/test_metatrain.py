@@ -32,20 +32,24 @@ def test_inner_adapt_zero_alpha_identity():
     tasks = make_tasks(1)
     net = small_net()
     cfg = mt.MetaConfig(inner_lr=0.0, integral_mode=EXACT)
-    fast, pre, post = mt.inner_adapt(net, tasks[0], cfg, RngState(3))
+    fast, pre, post, post_grad = mt.inner_adapt(net, tasks[0], cfg, RngState(3))
     assert np.array_equal(fast, net.params)
     assert pre >= 0 and post >= 0
+    assert post_grad.shape == net.params.shape
 
 
 def test_inner_adapt_purity_and_determinism():
     tasks = make_tasks(1)
     net = small_net()
     before = net.params.copy()
+    stats_before = [(m.copy(), v.copy()) for m, v in net.norm_stats]
     cfg = mt.MetaConfig(integral_mode=EXACT)
-    f1, _, _ = mt.inner_adapt(net, tasks[0], cfg, RngState(4))
+    f1, _, _, g1 = mt.inner_adapt(net, tasks[0], cfg, RngState(4))
     assert np.array_equal(net.params, before)
-    f2, _, _ = mt.inner_adapt(net, tasks[0], cfg, RngState(4))
-    assert np.array_equal(f1, f2)
+    for (m0, v0), (m1, v1) in zip(stats_before, net.norm_stats):
+        assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
+    f2, _, _, g2 = mt.inner_adapt(net, tasks[0], cfg, RngState(4))
+    assert np.array_equal(f1, f2) and np.array_equal(g1, g2)
 
 
 def test_inner_adapt_descent_direction():
@@ -159,9 +163,8 @@ def test_finetune_preserves_norm_stats():
 
 def test_train_stats_csv(tmp_path):
     stats = mt.TrainStats()
-    stats.append(1, 0.5, 0.4, 0.4, 0.01)
+    stats.append(1, 0.5, 0.4, 0.4)
     p = tmp_path / "log.csv"
     stats.write_csv(p)
     lines = p.read_text().strip().splitlines()
-    assert lines[0] == "epoch,mean_pre_loss,mean_post_loss,outer_loss,seconds"
-    assert lines[1].startswith("1,0.5,0.4,0.4,")
+    assert lines == ["epoch,mean_pre_loss,mean_post_loss,outer_loss", "1,0.5,0.4,0.4"]
