@@ -41,18 +41,16 @@ class TrainStats:
     epoch: list[int] = field(default_factory=list)
     pre_loss: list[float] = field(default_factory=list)
     post_loss: list[float] = field(default_factory=list)
-    outer_loss: list[float] = field(default_factory=list)
 
-    def append(self, epoch, pre, post, outer):
+    def append(self, epoch, pre, post):
         self.epoch.append(epoch)
         self.pre_loss.append(pre)
         self.post_loss.append(post)
-        self.outer_loss.append(outer)
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("epoch,mean_pre_loss,mean_post_loss,outer_loss\n")
-            for row in zip(self.epoch, self.pre_loss, self.post_loss, self.outer_loss):
+            fh.write("epoch,mean_pre_loss,mean_post_loss\n")
+            for row in zip(self.epoch, self.pre_loss, self.post_loss):
                 fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
@@ -73,20 +71,17 @@ def _refresh_norm_stats(net, batch: PairBatch):
     net.mode = was
 
 
-def inner_adapt(net, task: SyntheticTask, cfg: MetaConfig, rng: RngState,
-                update_stats: bool = False):
+def inner_adapt(net, task: SyntheticTask, cfg: MetaConfig, rng: RngState):
     """One fast-weight SGD step on a context batch; never changes the params.
 
+    The norm running statistics are first refreshed from the context batch.
     Returns (fast_params, pre_loss, post_loss, post_grad) where post_loss and
     its gradient are evaluated at the fast weights on a fresh target batch.
-    With update_stats the norm running statistics are first refreshed from
-    the context batch.
     """
     if not task.trajectories:
         raise EmptyTask(f"task {task.task_id} is empty")
     context = _task_batch(task, rng, cfg.context_pairs)
-    if update_stats:
-        _refresh_norm_stats(net, context)
+    _refresh_norm_stats(net, context)
     pre_loss, grad = match_loss(net, context, cfg.integral_mode)
     fast = net.params - cfg.inner_lr * grad
     target = _task_batch(task, rng, cfg.target_pairs)
@@ -110,14 +105,14 @@ def meta_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState, ep
     total_grad = np.zeros_like(net.params)
     pres, posts = [], []
     for i in idx:
-        _, pre_loss, post_loss, post_grad = inner_adapt(net, tasks[i], cfg, rng, update_stats=True)
+        _, pre_loss, post_loss, post_grad = inner_adapt(net, tasks[i], cfg, rng)
         total_grad += post_grad
         pres.append(pre_loss)
         posts.append(post_loss)
     sg.apply_update(net, total_grad / len(idx), cfg.outer_lr, opt)
     outer = float(np.mean(posts))
     if stats is not None:
-        stats.append(epoch, float(np.mean(pres)), outer, outer)
+        stats.append(epoch, float(np.mean(pres)), outer)
     return outer
 
 
@@ -143,7 +138,7 @@ def pretrain_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState
     sg.apply_update(net, total_grad / len(idx), cfg.outer_lr, opt)
     mean_loss = float(np.mean(losses))
     if stats is not None:
-        stats.append(epoch, mean_loss, mean_loss, mean_loss)
+        stats.append(epoch, mean_loss, mean_loss)
     return mean_loss
 
 

@@ -40,15 +40,13 @@ def test_inner_adapt_zero_alpha_identity():
 
 def test_inner_adapt_purity_and_determinism():
     tasks = make_tasks(1)
-    net = small_net()
-    before = net.params.copy()
-    stats_before = [(m.copy(), v.copy()) for m, v in net.norm_stats]
+    a = small_net()
+    b = a.copy()
+    before = a.params.copy()
     cfg = mt.MetaConfig(integral_mode=EXACT)
-    f1, _, _, g1 = mt.inner_adapt(net, tasks[0], cfg, RngState(4))
-    assert np.array_equal(net.params, before)
-    for (m0, v0), (m1, v1) in zip(stats_before, net.norm_stats):
-        assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
-    f2, _, _, g2 = mt.inner_adapt(net, tasks[0], cfg, RngState(4))
+    f1, _, _, g1 = mt.inner_adapt(a, tasks[0], cfg, RngState(4))
+    assert np.array_equal(a.params, before)
+    f2, _, _, g2 = mt.inner_adapt(b, tasks[0], cfg, RngState(4))
     assert np.array_equal(f1, f2) and np.array_equal(g1, g2)
 
 
@@ -109,7 +107,7 @@ def test_meta_train_reduces_outer_loss():
     for seed in range(5):
         net = small_net(dim=2, hidden=(16, 8), seed=40 + seed)
         stats = mt.meta_train(net, tasks, cfg, RngState(60 + seed))
-        drops.append(stats.outer_loss[0] / max(stats.outer_loss[-1], 1e-300))
+        drops.append(stats.post_loss[0] / max(stats.post_loss[-1], 1e-300))
     assert np.median(drops) >= 10.0
 
 
@@ -118,8 +116,8 @@ def test_pretrain_loss_decreases():
     cfg = mt.MetaConfig(epochs=40, tasks_per_batch=4, integral_mode=EXACT)
     net = small_net(dim=2, hidden=(16, 8), seed=8)
     stats = mt.meta_train(net, tasks, cfg, RngState(31), variant="pretrain")
-    first = np.median(stats.outer_loss[:10])
-    last = np.median(stats.outer_loss[-10:])
+    first = np.median(stats.post_loss[:10])
+    last = np.median(stats.post_loss[-10:])
     assert last < first
 
 
@@ -163,8 +161,8 @@ def test_finetune_preserves_norm_stats():
 
 def test_train_stats_csv(tmp_path):
     stats = mt.TrainStats()
-    stats.append(1, 0.5, 0.4, 0.4)
+    stats.append(1, 0.5, 0.4)
     p = tmp_path / "log.csv"
     stats.write_csv(p)
     lines = p.read_text().strip().splitlines()
-    assert lines == ["epoch,mean_pre_loss,mean_post_loss,outer_loss", "1,0.5,0.4,0.4"]
+    assert lines == ["epoch,mean_pre_loss,mean_post_loss", "1,0.5,0.4"]
