@@ -31,7 +31,7 @@ from .matchloss import DEFAULT_MODE, IntegralMode, match_loss, mse_loss, offline
 from .metatrain import MetaConfig, TrainStats, finetune, meta_train
 from .numerics import RngState
 from .search import CandidateSet, gradient_search, init_candidates
-from .sim4opt import Sim4OptConfig, SyntheticTask, Trajectory, generate_tasks
+from .sim4opt import Sim4OptConfig, SyntheticTask, generate_tasks
 
 METHODS = ("ga", "matchopt", "optbias", "optbias_pretrain", "optbias_random_gen")
 ORACLES = ("sphere", "ackley", "rastrigin", "shekel4")
@@ -276,10 +276,7 @@ def expt_style_generate(
         model = gp.posterior(ds, params)
         labels = gp.posterior_mean_batch(model, ds.X)
         order = np.argsort(labels, kind="stable")
-        trajs = tuple(
-            Trajectory(ds.X[j][None, :].copy(), labels[j : j + 1].copy()) for j in order
-        )
-        tasks.append(SyntheticTask(i, params, trajs, ds.X[order].copy(), labels[order]))
+        tasks.append(SyntheticTask(i, params, ds.X[order][:, None, :], labels[order][:, None]))
     return tasks
 
 

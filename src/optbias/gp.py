@@ -49,13 +49,68 @@ class KernelParams:
 
 
 def _sqdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at 0."""
-    d2 = (
-        np.sum(A * A, axis=1)[:, None]
-        + np.sum(B * B, axis=1)[None, :]
-        - 2.0 * A @ B.T
+    """Squared Euclidean distances between the rows of A (..., m, d) and B
+    (n, d), clipped at 0."""
+    d2 = np.sum(A * A, axis=-1)[..., None] + np.sum(B * B, axis=1)[None, :]
+    d2 -= 2.0 * A @ B.T
+    return np.maximum(d2, 0.0, out=d2)
+
+
+@dataclass(frozen=True)
+class _Hyper:
+    """Kernel hyperparameters as floats, or as arrays that broadcast against a
+    block of several models' kernels. ``ls2`` is always squared with Python's
+    float power: numpy's ``x**2`` is ``x*x``, which differs from it in the
+    last bit for about one lengthscale in a thousand."""
+
+    lengthscale: float | np.ndarray
+    ls2: float | np.ndarray
+    signal_variance: float | np.ndarray
+
+
+def _hyper(p: KernelParams) -> _Hyper:
+    return _Hyper(p.lengthscale, p.lengthscale**2, p.signal_variance)
+
+
+def _stacked_hyper(ps: list[KernelParams], ndim: int) -> _Hyper:
+    """Hyperparameters of c models as (c, 1, ..., 1) arrays that broadcast
+    against an ndim block whose leading axis runs over the models."""
+
+    def col(values):
+        return np.array(values).reshape((-1,) + (1,) * (ndim - 1))
+
+    return _Hyper(
+        col([p.lengthscale for p in ps]),
+        col([p.lengthscale**2 for p in ps]),
+        col([p.signal_variance for p in ps]),
     )
-    return np.maximum(d2, 0.0)
+
+
+def _kernel_from_sqdist(family: str, d2: np.ndarray, h: _Hyper) -> np.ndarray:
+    if family == RBF:
+        # signal_variance * exp(-0.5 * d2 / ls2), in one buffer
+        K = np.multiply(d2, -0.5)
+        K /= h.ls2
+        np.exp(K, out=K)
+        K *= h.signal_variance
+        return K
+    s = SQRT5 * np.sqrt(d2) / h.lengthscale
+    return h.signal_variance * (1.0 + s + s * s / 3.0) * np.exp(-s)
+
+
+def _grad_weights(family: str, K: np.ndarray, d2: np.ndarray, h: _Hyper) -> np.ndarray:
+    """w such that grad_x k(x_i, x_j) = w[..., i, j] * (x_i - x_j), from the
+    kernel block K and the squared distances d2; may overwrite K."""
+    if family == RBF:
+        K /= -h.ls2  # bit-identical to -K / ls2
+        return K
+    s = SQRT5 * np.sqrt(d2) / h.lengthscale
+    return -(5.0 * h.signal_variance / (3.0 * h.ls2)) * (1.0 + s) * np.exp(-s)
+
+
+def _grad_from_weights(X: np.ndarray, W: np.ndarray, X_train: np.ndarray) -> np.ndarray:
+    """Rows sum_j W[..., i, j] (x_i - x_j)."""
+    return X * W.sum(axis=-1)[..., None] - W @ X_train
 
 
 def kernel_matrix(p: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -63,12 +118,7 @@ def kernel_matrix(p: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise DimensionMismatch(f"dim mismatch: {A.shape[1]} vs {B.shape[1]}")
-    d2 = _sqdist(A, B)
-    if p.family == RBF:
-        return p.signal_variance * np.exp(-0.5 * d2 / p.lengthscale**2)
-    r = np.sqrt(d2)
-    s = SQRT5 * r / p.lengthscale
-    return p.signal_variance * (1.0 + s + s * s / 3.0) * np.exp(-s)
+    return _kernel_from_sqdist(p.family, _sqdist(A, B), _hyper(p))
 
 
 def kernel_eval(p: KernelParams, x: np.ndarray, x2: np.ndarray) -> float:
@@ -77,15 +127,6 @@ def kernel_eval(p: KernelParams, x: np.ndarray, x2: np.ndarray) -> float:
     if x.shape != x2.shape:
         raise DimensionMismatch(f"{x.shape} vs {x2.shape}")
     return float(kernel_matrix(p, x[None, :], x2[None, :])[0, 0])
-
-
-def _grad_weights(p: KernelParams, K: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """w such that grad_x k(x_i, x_j) = w[i, j] * (x_i - x_j)."""
-    if p.family == RBF:
-        return -K / p.lengthscale**2
-    r = np.sqrt(d2)
-    s = SQRT5 * r / p.lengthscale
-    return -(5.0 * p.signal_variance / (3.0 * p.lengthscale**2)) * (1.0 + s) * np.exp(-s)
 
 
 @dataclass(frozen=True)
@@ -130,8 +171,7 @@ def posterior_mean_batch(g: GpModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if g.X_train is None:
         return np.full(X.shape[0], g.params.mean)
-    if X.shape[1] != g.dim:
-        raise DimensionMismatch(f"query dim {X.shape[1]} != train dim {g.dim}")
+    _check_query(g, X)
     return g.params.mean + _kstar(g, X) @ g.alpha
 
 
@@ -140,19 +180,28 @@ def posterior_var(g: GpModel, x: np.ndarray) -> float:
     return float(posterior_var_batch(g, x[None, :])[0])
 
 
-def posterior_var_batch(g: GpModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if g.X_train is None:
-        return np.full(X.shape[0], g.params.signal_variance)
-    if X.shape[1] != g.dim:
-        raise DimensionMismatch(f"query dim {X.shape[1]} != train dim {g.dim}")
-    Ks = _kstar(g, X)
-    V = cholesky_solve(g.chol_L, Ks.T)
-    var = g.params.signal_variance - np.sum(Ks * V.T, axis=1)
+def _check_query(g: GpModel, X: np.ndarray) -> None:
+    if X.shape[-1] != g.dim:
+        raise DimensionMismatch(f"query dim {X.shape[-1]} != train dim {g.dim}")
+
+
+def _clamped_var(signal_variance, Ks: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Posterior variance from k* rows Ks and C = (K + noise I)^-1 Ks^T,
+    clamped at 0."""
+    var = signal_variance - np.sum(Ks * C.T, axis=1)
     worst = var.min() if var.size else 0.0
     if worst < -1e-8:
         log.warning("posterior variance clamped from %g", worst)
     return np.maximum(var, 0.0)
+
+
+def posterior_var_batch(g: GpModel, X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if g.X_train is None:
+        return np.full(X.shape[0], g.params.signal_variance)
+    _check_query(g, X)
+    Ks = _kstar(g, X)
+    return _clamped_var(g.params.signal_variance, Ks, cholesky_solve(g.chol_L, Ks.T))
 
 
 def posterior_mean_grad(g: GpModel, x: np.ndarray) -> np.ndarray:
@@ -165,13 +214,12 @@ def posterior_mean_grad_batch(g: GpModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if g.X_train is None:
         return np.zeros_like(X)
-    if X.shape[1] != g.dim:
-        raise DimensionMismatch(f"query dim {X.shape[1]} != train dim {g.dim}")
+    _check_query(g, X)
     d2 = _sqdist(X, g.X_train)
-    K = kernel_matrix(g.params, X, g.X_train)
-    W = _grad_weights(g.params, K, d2) * g.alpha[None, :]
-    # grad_i = sum_j W_ij (x_i - x_j)
-    return X * W.sum(axis=1)[:, None] - W @ g.X_train
+    h = _hyper(g.params)
+    W = _grad_weights(g.params.family, _kernel_from_sqdist(g.params.family, d2, h), d2, h)
+    W *= g.alpha
+    return _grad_from_weights(X, W, g.X_train)
 
 
 def ucb(g: GpModel, x: np.ndarray, beta: float) -> float:
@@ -185,22 +233,28 @@ def ucb_batch(g: GpModel, X: np.ndarray, beta: float) -> np.ndarray:
     return posterior_mean_batch(g, X) + beta * np.sqrt(posterior_var_batch(g, X))
 
 
+def _ucb_scale(var: np.ndarray, beta: float) -> np.ndarray:
+    """beta / (2 sqrt var), 0 below var 1e-12."""
+    safe = var > 1e-12
+    return np.where(safe, beta / (2.0 * np.sqrt(np.where(safe, var, 1.0))), 0.0)
+
+
 def ucb_grad_batch(g: GpModel, X: np.ndarray, beta: float) -> np.ndarray:
     """grad mu + beta * grad var / (2 sqrt var); sqrt term dropped below var 1e-12."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    gm = posterior_mean_grad_batch(g, X)
     if beta == 0 or g.X_train is None:
-        return gm
+        return posterior_mean_grad_batch(g, X)
+    _check_query(g, X)
     d2 = _sqdist(X, g.X_train)
-    Ks = kernel_matrix(g.params, X, g.X_train)
+    h = _hyper(g.params)
+    Ks = _kernel_from_sqdist(g.params.family, d2, h)
     C = cholesky_solve(g.chol_L, Ks.T)  # n_train x n_query
+    var = _clamped_var(g.params.signal_variance, Ks, C)
+    W = _grad_weights(g.params.family, Ks, d2, h)
+    gm = _grad_from_weights(X, W * g.alpha, g.X_train)
     # grad var_i = -2 sum_j C_ji grad_x k(x_i, x_j)
-    W = _grad_weights(g.params, Ks, d2) * C.T
-    gvar = -2.0 * (X * W.sum(axis=1)[:, None] - W @ g.X_train)
-    var = posterior_var_batch(g, X)
-    safe = var > 1e-12
-    scale = np.where(safe, beta / (2.0 * np.sqrt(np.where(safe, var, 1.0))), 0.0)
-    return gm + scale[:, None] * gvar
+    gvar = -2.0 * _grad_from_weights(X, W * C.T, g.X_train)
+    return gm + _ucb_scale(var, beta)[:, None] * gvar
 
 
 def log_marginal_likelihood(ds: OfflineDataset, p: KernelParams) -> float:

@@ -132,7 +132,7 @@ def match_loss(
             djvp = np.broadcast_to(
                 (-2.0 * resid / (b * mode.nodes))[None, :], (mode.nodes, b)
             ).ravel()
-            grad = sg.backward_params_jvp(net, cache, np.zeros(b * mode.nodes), djvp)
+            grad = sg.backward_params_jvp(net, cache, djvp)
         return loss, grad
     finally:
         net.mode = was_mode

@@ -4,8 +4,10 @@ up the posterior-mean (or UCB) field, and pseudo-label all visited states.
 
 Each offline start point yields one trajectory assembled as
 [reversed descent states | start | ascent states] (length 2M+1), then sorted
-ascending by pseudo-label so consecutive pairs always have dz >= 0. Each task
-also exposes the flat per-function dataset sorted the same way.
+ascending by pseudo-label so consecutive pairs always have dz >= 0. A task
+holds its trajectories as dense (T, kappa, d) states and (T, kappa) labels,
+and also exposes the flat per-function dataset sorted the same way. Tasks
+are walked in chunks, all starts, directions and tasks of a chunk at once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import gp
 from .dataio import OfflineDataset
 from .errors import DataError, NumericalError
-from .numerics import RngState
+from .numerics import RngState, cholesky_solve
 
 DIVERGENCE_LIMIT = 1e6
 MAX_TASK_RETRIES = 3
@@ -46,6 +48,11 @@ class EmptyTask(NumericalError):
 MODE_MEAN = "posterior_mean"
 MODE_UCB = "ucb"
 
+# Budget for one (c, 2, n, n) f64 kernel block: generate_tasks evolves tasks
+# in chunks of c so that the block and its few same-sized temporaries stay in
+# cache.
+CHUNK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class Sim4OptConfig:
@@ -56,7 +63,6 @@ class Sim4OptConfig:
     evolution_mode: str = MODE_MEAN
     ucb_beta: float = 2.0
     base_params: gp.KernelParams = field(default_factory=gp.KernelParams)
-    start_subsample: int | None = None  # cap on start points; None = all
 
     def __post_init__(self):
         if self.n_functions < 1 or self.evolve_steps < 1:
@@ -77,15 +83,32 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SyntheticTask:
+    """T trajectories of kappa states, each sorted ascending by pseudo-label.
+
+    ``trajectories`` are views of the dense blocks unless given; ``flat_X``
+    and ``flat_z`` hold all states sorted ascending by label (stable).
+    """
+
     task_id: int
     params: gp.KernelParams
-    trajectories: tuple[Trajectory, ...]
-    flat_X: np.ndarray  # all states sorted ascending by label
-    flat_z: np.ndarray
+    states: np.ndarray  # T x kappa x d
+    labels: np.ndarray  # T x kappa, each row nondecreasing
+    trajectories: tuple[Trajectory, ...] | None = None
+    flat_X: np.ndarray = field(init=False, repr=False)
+    flat_z: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.trajectories is None:
+            trajs = tuple(map(Trajectory, self.states, self.labels))
+            object.__setattr__(self, "trajectories", trajs)
+        flat_z = self.labels.reshape(-1)
+        order = np.argsort(flat_z, kind="stable")
+        object.__setattr__(self, "flat_X", self.states.reshape(-1, self.states.shape[-1])[order])
+        object.__setattr__(self, "flat_z", flat_z[order])
 
     @property
     def kappa(self) -> int:
-        return self.trajectories[0].states.shape[0]
+        return self.states.shape[1]
 
 
 def sample_task_params(
@@ -101,62 +124,81 @@ def sample_task_params(
     return replace(base, lengthscale=float(ell), signal_variance=float(var))
 
 
-def _field_value(g: gp.GpModel, X: np.ndarray, mode: str, beta: float) -> np.ndarray:
-    if mode == MODE_UCB:
-        return gp.ucb_batch(g, X, beta)
-    return gp.posterior_mean_batch(g, X)
-
-
-def _field_grad(g: gp.GpModel, X: np.ndarray, mode: str, beta: float) -> np.ndarray:
-    if mode == MODE_UCB:
-        return gp.ucb_grad_batch(g, X, beta)
-    return gp.posterior_mean_grad_batch(g, X)
-
-
 def evolve(
-    g: gp.GpModel,
+    models: list[gp.GpModel],
     X0: np.ndarray,
-    sign: int,
     steps: int,
     step_size: float,
     mode: str = MODE_MEAN,
     beta: float = 0.0,
-) -> list[np.ndarray]:
-    """Fixed-step gradient evolution; returns the M intermediate batches in order."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-step gradient walk of X0 down and up the field of every model.
+
+    The c models share their training inputs. All walks move as one
+    (c, 2, n, d) block, descent first. Each step computes one kernel block,
+    uses it for the labels of the current states (the field value: posterior
+    mean, or UCB) and then, in place, for the step's gradient.
+
+    Returns states (c, n, 2M+1, d) and labels (c, n, 2M+1), each start's walk
+    laid out [descent reversed | start | ascent], and a (c,) mask of the
+    models whose walk left the guard radius; their rows are not meaningful.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    X = np.atleast_2d(np.asarray(X0, dtype=np.float64))
-    if X.shape[0] == 0:
+    X0 = np.atleast_2d(np.asarray(X0, dtype=np.float64))
+    if X0.shape[0] == 0:
         raise ValueError("X0 is empty")
-    out = []
-    for _ in range(steps):
-        X = X + sign * step_size * _field_grad(g, X, mode, beta)
-        if not np.isfinite(X).all() or np.abs(X).max() > DIVERGENCE_LIMIT:
-            raise NonFiniteState("evolution diverged beyond the guard radius")
-        out.append(X)
-    return out
+    n, d = X0.shape
+    c, M = len(models), steps
+    family, X_train = models[0].params.family, models[0].X_train
+    h = gp._stacked_hyper([m.params for m in models], ndim=4)
+    alpha = np.stack([m.alpha for m in models])[:, None, None, :]  # c x 1 x 1 x n_train
+    mean = np.array([m.params.mean for m in models])[:, None, None]
+    ucb = mode == MODE_UCB
+    # (c, 2, n, d) rather than (c, 2n, d): every matmul then sees the n-row
+    # operands of one walk, as a per-task gp call does. OpenBLAS rounds the
+    # rows past the last multiple of 4 differently, so a 2n-row product would
+    # move the last bit of some states and labels.
+    start = np.stack([X0, X0])
+    signed_step = np.array([-step_size, step_size])[:, None, None]
+    X = np.repeat(start[None], c, axis=0)
+    states = np.empty((c, n, 2 * M + 1, d))
+    labels = np.empty((c, n, 2 * M + 1))
+    diverged = np.zeros(c, dtype=bool)
+    for t in range(M + 1):
+        d2 = gp._sqdist(X, X_train)
+        K = gp._kernel_from_sqdist(family, d2, h)
+        z = mean + (K @ alpha.swapaxes(-1, -2))[..., 0]
+        if ucb:
+            rows = K.reshape(c, 2 * n, -1)
+            C = [cholesky_solve(m.chol_L, Ki.T) for m, Ki in zip(models, rows)]
+            var = np.stack([gp._clamped_var(m.params.signal_variance, Ki, Ci)
+                            for m, Ki, Ci in zip(models, rows, C)]).reshape(c, 2, n)
+            z += beta * np.sqrt(var)
+        states[:, :, M - t], states[:, :, M + t] = X[:, 0], X[:, 1]
+        labels[:, :, M - t], labels[:, :, M + t] = z[:, 0], z[:, 1]
+        if t == M:
+            break
+        W = gp._grad_weights(family, K, d2, h)
+        if ucb:
+            WC = np.stack([Wi * Ci.T.reshape(2, n, -1) for Wi, Ci in zip(W, C)])
+            gvar = -2.0 * gp._grad_from_weights(X, WC, X_train)
+        W *= alpha
+        grad = gp._grad_from_weights(X, W, X_train)
+        if ucb:
+            grad += gp._ucb_scale(var, beta)[..., None] * gvar
+        X = X + signed_step * grad
+        walk_axes = (1, 2, 3)
+        bad = ~np.isfinite(X).all(axis=walk_axes) | (
+            np.abs(X).max(axis=walk_axes) > DIVERGENCE_LIMIT)
+        if bad.any():
+            diverged |= bad
+            X[diverged] = start  # keep the block finite; these rows are discarded
+    return states, labels, diverged
 
 
-def _generate_one(ds: OfflineDataset, cfg: Sim4OptConfig, params: gp.KernelParams, task_id: int):
-    model = gp.posterior(ds, params)
-    starts = ds.X
-    desc = evolve(model, starts, -1, cfg.evolve_steps, cfg.step_size, cfg.evolution_mode, cfg.ucb_beta)
-    asc = evolve(model, starts, +1, cfg.evolve_steps, cfg.step_size, cfg.evolution_mode, cfg.ucb_beta)
-    # states per start: [descent reversed | start | ascent], length 2M+1
-    stacks = desc[::-1] + [starts] + asc
-    all_states = np.stack(stacks, axis=1)  # n_starts x kappa x d
-    n_starts, kappa, d = all_states.shape
-    labels = _field_value(
-        model, all_states.reshape(-1, d), cfg.evolution_mode, cfg.ucb_beta
-    ).reshape(n_starts, kappa)
-    trajectories = []
-    for i in range(n_starts):
-        order = np.argsort(labels[i], kind="stable")
-        trajectories.append(Trajectory(all_states[i][order], labels[i][order]))
-    flat_z = labels.ravel()
-    flat_order = np.argsort(flat_z, kind="stable")
-    flat_X = all_states.reshape(-1, d)[flat_order]
-    return SyntheticTask(task_id, params, tuple(trajectories), flat_X, flat_z[flat_order])
+def _chunk_size(n: int) -> int:
+    return max(1, CHUNK_BYTES // (2 * n * n * 8))
 
 
 def generate_tasks(
@@ -164,32 +206,46 @@ def generate_tasks(
 ) -> list[SyntheticTask]:
     """Run the full generator: one task per sampled parameter draw.
 
-    A diverged task is regenerated with a fresh parameter draw (same per-task
-    stream), at most MAX_TASK_RETRIES times.
+    Tasks evolve in chunks. A task whose posterior fit fails or whose walk
+    diverges is regenerated with a fresh parameter draw from its own stream,
+    at most MAX_TASK_RETRIES times.
     """
     if ds.n < 2:
         raise EmptyTask(f"need at least 2 offline points, got {ds.n}")
-    tasks = []
-    for i in range(cfg.n_functions):
-        task_rng = rng.split(i)
-        if cfg.start_subsample is not None and cfg.start_subsample < ds.n:
-            idx = np.sort(task_rng.choice(ds.n, cfg.start_subsample))
-            sub = OfflineDataset(ds.X[idx], ds.z[idx], ds.names)
-        else:
-            sub = ds
-        last_err = None
-        for _attempt in range(1 + MAX_TASK_RETRIES):
-            params = sample_task_params(cfg.base_params, cfg.delta_frac, task_rng)
-            try:
-                tasks.append(_generate_one(sub, cfg, params, i))
-                break
-            except NumericalError as exc:
-                last_err = exc
-        else:
-            raise TaskGenerationFailed(
-                f"task {i} failed after {MAX_TASK_RETRIES} retries: {last_err}"
+    K = cfg.n_functions
+    rngs = [rng.split(i) for i in range(K)]
+    tasks: list[SyntheticTask | None] = [None] * K
+    errors: list[Exception | None] = [None] * K
+    chunk = _chunk_size(ds.n)
+    pending = list(range(K))
+    for _attempt in range(1 + MAX_TASK_RETRIES):
+        for lo in range(0, len(pending), chunk):
+            fitted = []
+            for i in pending[lo : lo + chunk]:
+                params = sample_task_params(cfg.base_params, cfg.delta_frac, rngs[i])
+                try:
+                    fitted.append((i, gp.posterior(ds, params)))
+                except NumericalError as exc:
+                    errors[i] = exc
+            if not fitted:
+                continue
+            states, labels, diverged = evolve(
+                [m for _, m in fitted], ds.X, cfg.evolve_steps, cfg.step_size,
+                cfg.evolution_mode, cfg.ucb_beta,
             )
-    return tasks
+            order = np.argsort(labels, axis=-1, kind="stable")
+            labels = np.take_along_axis(labels, order, axis=-1)
+            states = np.take_along_axis(states, order[..., None], axis=-2)
+            for j, (i, model) in enumerate(fitted):
+                if diverged[j]:
+                    errors[i] = NonFiniteState("evolution diverged beyond the guard radius")
+                else:
+                    tasks[i] = SyntheticTask(i, model.params, states[j], labels[j])
+        pending = [i for i in pending if tasks[i] is None]
+        if not pending:
+            return tasks
+    i = pending[0]
+    raise TaskGenerationFailed(f"task {i} failed after {MAX_TASK_RETRIES} retries: {errors[i]}")
 
 
 def build_pairs(t: SyntheticTask, rng: RngState, count: int):
@@ -199,7 +255,7 @@ def build_pairs(t: SyntheticTask, rng: RngState, count: int):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not t.trajectories:
+    if t.labels.size == 0:
         raise EmptyTask(f"task {t.task_id} has no trajectories")
     kappa = t.kappa
     if kappa < 2:
@@ -209,17 +265,9 @@ def build_pairs(t: SyntheticTask, rng: RngState, count: int):
             raise EmptyTask(f"task {t.task_id} has fewer than 2 states")
         r = rng.integers(n - 1, size=count)
         return t.flat_X[r], t.flat_X[r + 1], t.flat_z[r + 1] - t.flat_z[r]
-    ti = rng.integers(len(t.trajectories), size=count)
+    ti = rng.integers(t.labels.shape[0], size=count)
     r = rng.integers(kappa - 1, size=count)
-    starts = np.empty((count, t.flat_X.shape[1]))
-    ends = np.empty_like(starts)
-    dz = np.empty(count)
-    for b in range(count):
-        traj = t.trajectories[ti[b]]
-        starts[b] = traj.states[r[b]]
-        ends[b] = traj.states[r[b] + 1]
-        dz[b] = traj.labels[r[b] + 1] - traj.labels[r[b]]
-    return starts, ends, dz
+    return t.states[ti, r], t.states[ti, r + 1], t.labels[ti, r + 1] - t.labels[ti, r]
 
 
 BUNDLE_VERSION = 2
@@ -254,8 +302,8 @@ def save_bundle(tasks: list[SyntheticTask], path, config: dict | None = None) ->
     if not tasks:
         raise ValueError("cannot save an empty task list")
     try:
-        states = np.stack([np.stack([tr.states for tr in t.trajectories]) for t in tasks])
-        labels = np.stack([np.stack([tr.labels for tr in t.trajectories]) for t in tasks])
+        states = np.stack([t.states for t in tasks])
+        labels = np.stack([t.labels for t in tasks])
     except ValueError as exc:
         raise ValueError(f"tasks must share one (T, kappa, d) shape: {exc}") from None
     if states.ndim != 4 or labels.shape != states.shape[:3]:
@@ -323,12 +371,5 @@ def load_bundle(path) -> list[SyntheticTask]:
         raise DataError(f"{path}: malformed task bundle ({exc!r})") from None
     if len(params) != K:
         raise DataError(f"{path}: {len(params)} params records for {K} tasks")
-    tasks = []
-    for k, (task_id, p) in enumerate(params):
-        trajs = tuple(Trajectory(states[k, t], labels[k, t]) for t in range(T))
-        flat_z = labels[k].reshape(-1)
-        order = np.argsort(flat_z, kind="stable")
-        tasks.append(
-            SyntheticTask(task_id, p, trajs, states[k].reshape(-1, d)[order], flat_z[order])
-        )
-    return tasks
+    return [SyntheticTask(task_id, p, states[k], labels[k])
+            for k, (task_id, p) in enumerate(params)]

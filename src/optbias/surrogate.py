@@ -13,6 +13,7 @@ well-posed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
@@ -260,10 +261,9 @@ def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray, params_override
     h, th = X, V
     layers = []
     for i in range(len(net.arch.hidden)):
-        a, ta = h, th
         W = net.view(f"W{i}", p)
-        s = a @ W + net.view(f"b{i}", p)
-        ts = ta @ W
+        s = h @ W + net.view(f"b{i}", p)
+        ts = th @ W
         if net.arch.norm == NORM_BATCH:
             mu, var = net.norm_stats[i]
             std = np.sqrt(var + EPS)
@@ -272,60 +272,44 @@ def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray, params_override
             u = gam * xhat + net.view(f"s{i}", p)
             tu = gam * ts / std
         else:
-            std, xhat, u, tu = None, None, s, ts
+            std, u, tu = None, s, ts
         mask = np.where(u > 0.0, 1.0, net.arch.slope)
+        layers.append({"ta": th, "ts": ts, "std": std, "mask": mask})
         h, th = u * mask, tu * mask
-        layers.append(
-            {"a": a, "ta": ta, "s": s, "ts": ts, "std": std, "xhat": xhat, "mask": mask}
-        )
     Wh = net.view("Wh", p)
     pred = (h @ Wh + net.view("bh", p)).ravel()
     jvp = (th @ Wh).ravel()
-    cache = {"params": p, "layers": layers, "h_last": h, "th_last": th, "X": X}
+    cache = {"params": p, "layers": layers, "th_last": th}
     return pred, jvp, cache
 
 
-def backward_params_jvp(net: SurrogateNet, cache, dpred, djvp) -> np.ndarray:
-    """Flat-parameter gradient of sum_b (dpred[b]*pred[b] + djvp[b]*jvp[b]).
+def backward_params_jvp(net: SurrogateNet, cache, djvp) -> np.ndarray:
+    """Flat-parameter gradient of sum_b djvp[b] * jvp[b].
 
-    Reverse pass over the augmented (primal, tangent) computation from
-    forward_jvp; exact almost everywhere (LeakyReLU masks treated as locally
-    constant).
+    Reverse pass over the tangent half of forward_jvp; exact almost everywhere
+    (LeakyReLU masks treated as locally constant). The tangents do not depend
+    on the biases or the norm shifts, so their entries are 0.
     """
     p = cache["params"]
-    dpred = np.asarray(dpred, dtype=np.float64).ravel()
     djvp = np.asarray(djvp, dtype=np.float64).ravel()
     grad = np.zeros_like(p)
     g = SurrogateNet(net.arch, grad, net.norm_stats, net.mode)
 
-    h, th = cache["h_last"], cache["th_last"]
-    g.view("Wh")[:] = h.T @ dpred[:, None] + th.T @ djvp[:, None]
-    g.view("bh")[:] = dpred.sum()
-    wh = net.view("Wh", p).ravel()
-    dh = dpred[:, None] * wh[None, :]
-    dth = djvp[:, None] * wh[None, :]
+    g.view("Wh")[:] = cache["th_last"].T @ djvp[:, None]
+    dth = djvp[:, None] * net.view("Wh", p).ravel()[None, :]
 
     for i in reversed(range(len(net.arch.hidden))):
         lay = cache["layers"][i]
-        mask = lay["mask"]
-        du = dh * mask
-        dtu = dth * mask
+        dtu = dth * lay["mask"]
         if net.arch.norm == NORM_BATCH:
             std = lay["std"]
-            gam = net.view(f"g{i}", p)
-            g.view(f"g{i}")[:] = (du * lay["xhat"]).sum(axis=0) + (
-                dtu * lay["ts"] / std
-            ).sum(axis=0)
-            g.view(f"s{i}")[:] = du.sum(axis=0)
-            ds = du * gam / std
-            dts = dtu * gam / std
+            g.view(f"g{i}")[:] = (dtu * lay["ts"] / std).sum(axis=0)
+            dts = dtu * net.view(f"g{i}", p) / std
         else:
-            ds, dts = du, dtu
-        W = net.view(f"W{i}", p)
-        g.view(f"W{i}")[:] = lay["a"].T @ ds + lay["ta"].T @ dts
-        g.view(f"b{i}")[:] = ds.sum(axis=0)
-        dh = ds @ W.T
-        dth = dts @ W.T
+            dts = dtu
+        g.view(f"W{i}")[:] = lay["ta"].T @ dts
+        if i:
+            dth = dts @ net.view(f"W{i}", p).T
     return grad
 
 
@@ -371,11 +355,14 @@ def apply_update(net: SurrogateNet, grad: np.ndarray, lr: float, optimizer_state
 
 
 CHECKPOINT_MAGIC = b"OBSN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_DIGEST_BYTES = 32
 
 
 def save_checkpoint(net: SurrogateNet, path) -> None:
-    """Binary checkpoint: magic, version byte, JSON header, raw little-endian f64."""
+    """Binary checkpoint: magic, version byte, header length, JSON header, raw
+    little-endian f64 params and norm statistics, then the 32-byte sha256 of
+    everything before it."""
     header = json.dumps(
         {
             "input_dim": net.arch.input_dim,
@@ -387,22 +374,22 @@ def save_checkpoint(net: SurrogateNet, path) -> None:
         },
         sort_keys=True,
     ).encode("utf-8")
+    parts = [CHECKPOINT_MAGIC, struct.pack("<BI", CHECKPOINT_VERSION, len(header)), header,
+             net.params.astype("<f8").tobytes()]
+    for rm, rv in net.norm_stats:
+        parts += [rm.astype("<f8").tobytes(), rv.astype("<f8").tobytes()]
+    data = b"".join(parts)
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<B", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(net.params.astype("<f8").tobytes())
-        for rm, rv in net.norm_stats:
-            fh.write(rm.astype("<f8").tobytes())
-            fh.write(rv.astype("<f8").tobytes())
+        fh.write(data)
+        fh.write(hashlib.sha256(data).digest())
 
 
 def load_checkpoint(path) -> SurrogateNet:
     """Read a checkpoint written by save_checkpoint.
 
-    Raises NumericalError for a wrong magic or version, an unreadable header,
-    or a file shorter or longer than its header says.
+    Raises NumericalError for a wrong magic or version, a sha256 mismatch
+    (any truncated or altered byte), an unreadable header, or a body whose
+    length disagrees with its header.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -411,10 +398,17 @@ def load_checkpoint(path) -> SurrogateNet:
     if len(data) < 9:
         raise NumericalError(f"{path}: checkpoint truncated in its header")
     version, hlen = struct.unpack_from("<BI", data, 4)
+    if version == 1:
+        raise NumericalError(
+            f"{path}: checkpoint version 1 carries no checksum; rerun the stage that wrote it"
+        )
     if version != CHECKPOINT_VERSION:
         raise NumericalError(f"{path}: unsupported checkpoint version {version}")
+    body, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
+    if len(data) < 9 + _DIGEST_BYTES or hashlib.sha256(body).digest() != digest:
+        raise NumericalError(f"{path}: checkpoint checksum mismatch")
     try:
-        meta = json.loads(data[9 : 9 + hlen].decode("utf-8"))
+        meta = json.loads(body[9 : 9 + hlen].decode("utf-8"))
         arch = Architecture(
             meta["input_dim"], tuple(meta["hidden"]), meta["slope"], meta["norm"]
         )
@@ -425,11 +419,11 @@ def load_checkpoint(path) -> SurrogateNet:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NumericalError(f"{path}: unreadable checkpoint header ({exc!r})") from None
     expected = 9 + hlen + 8 * (n_params + 2 * sum(widths))
-    if len(data) != expected:
+    if len(body) != expected:
         raise NumericalError(
-            f"{path}: checkpoint has {len(data)} bytes, its header implies {expected}"
+            f"{path}: checkpoint body has {len(body)} bytes, its header implies {expected}"
         )
-    values = np.frombuffer(data, dtype="<f8", offset=9 + hlen).copy()
+    values = np.frombuffer(body, dtype="<f8", offset=9 + hlen).copy()
     params, off = values[:n_params], n_params
     stats = []
     for w in widths:

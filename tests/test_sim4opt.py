@@ -53,9 +53,10 @@ def test_evolve_fixed_point_far_from_data():
     model = gp.posterior(OfflineDataset(np.zeros((2, 2)) + [[0, 0], [1, 1]],
                                         np.array([0.0, 1.0])), p)
     X0 = np.array([[50.0, 50.0]])
-    out = sim4opt.evolve(model, X0, +1, 5, 0.1)
-    for batch in out:
-        assert np.allclose(batch, X0, atol=1e-8)
+    states, labels, diverged = sim4opt.evolve([model], X0, 5, 0.1)
+    assert states.shape == (1, 1, 11, 2) and labels.shape == (1, 1, 11)
+    assert np.allclose(states, X0, atol=1e-8)
+    assert not diverged.any()
 
 
 def test_evolve_monotone_labels_1d():
@@ -63,19 +64,121 @@ def test_evolve_monotone_labels_1d():
     ds = OfflineDataset(np.array([[1.0]]), np.array([1.0]))
     model = gp.posterior(ds, p)
     X0 = np.array([[0.0]])
-    asc = sim4opt.evolve(model, X0, +1, 30, 0.05)
-    vals = [gp.posterior_mean(model, b[0]) for b in asc]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    desc = sim4opt.evolve(model, X0, -1, 30, 0.05)
-    assert gp.posterior_mean(model, desc[-1][0]) <= gp.posterior_mean(model, X0[0])
+    states, labels, _ = sim4opt.evolve([model], X0, 30, 0.05)
+    walk = labels[0, 0]  # [descent reversed | start | ascent]
+    assert np.array_equal(walk, gp.posterior_mean_batch(model, states[0, 0]))
+    assert np.all(np.diff(walk) >= -1e-12)
+    assert walk[0] <= gp.posterior_mean(model, X0[0])
 
 
 def test_evolve_divergence_guard():
     p = gp.KernelParams("rbf", 1.0, 1.0, 0.01)
-    model = gp.posterior(OfflineDataset(np.array([[0.0]]), np.array([1.0])), p)
-    with pytest.raises(sim4opt.NonFiniteState):
-        # absurd step size blows straight through the guard radius
-        sim4opt.evolve(model, np.array([[0.5]]), +1, 2000, 1e7)
+    ds = OfflineDataset(np.array([[0.0]]), np.array([1.0]))
+    tame = gp.posterior(ds, p)
+    wild = gp.posterior(ds, p.with_mean(1e12))  # its first step lands ~1e10 away
+    _, _, diverged = sim4opt.evolve([tame, wild, tame], np.array([[0.5]]), 3, 0.05)
+    assert diverged.tolist() == [False, True, False]
+    # absurd step size blows straight through the guard radius
+    _, _, diverged = sim4opt.evolve([tame], np.array([[0.5]]), 2000, 1e7)
+    assert diverged.tolist() == [True]
+
+
+def _per_task_walks(ds, params, cfg):
+    """One task the slow way: each direction walked separately with the public
+    gp functions, every visited state labelled, each trajectory sorted."""
+    model = gp.posterior(ds, params)
+    if cfg.evolution_mode == sim4opt.MODE_UCB:
+        def value(X):
+            return gp.ucb_batch(model, X, cfg.ucb_beta)
+
+        def grad(X):
+            return gp.ucb_grad_batch(model, X, cfg.ucb_beta)
+    else:
+        def value(X):
+            return gp.posterior_mean_batch(model, X)
+
+        def grad(X):
+            return gp.posterior_mean_grad_batch(model, X)
+    walks = {}
+    for sign in (-1, +1):
+        X, walk = ds.X, [ds.X]
+        for _ in range(cfg.evolve_steps):
+            X = X + sign * cfg.step_size * grad(X)
+            walk.append(X)
+        walks[sign] = walk
+    seq = walks[-1][::-1] + walks[+1][1:]
+    states = np.stack(seq, axis=1)
+    labels = np.stack([value(X) for X in seq], axis=1)
+    order = np.argsort(labels, axis=1, kind="stable")
+    return states[np.arange(ds.n)[:, None], order], np.take_along_axis(labels, order, 1)
+
+
+@pytest.mark.parametrize("family", [gp.RBF, gp.MATERN52])
+@pytest.mark.parametrize("mode", [sim4opt.MODE_MEAN, sim4opt.MODE_UCB])
+def test_generate_matches_per_task_walks(monkeypatch, family, mode):
+    # 19 rows: a 38-row block product would round some rows differently
+    ds = offline_2d(n=19)
+    # chunks of 3 tasks: 7 tasks end in a partial chunk
+    monkeypatch.setattr(sim4opt, "CHUNK_BYTES", 3 * 2 * ds.n * ds.n * 8)
+    cfg = sim4opt.Sim4OptConfig(n_functions=7, evolve_steps=6, evolution_mode=mode,
+                                base_params=gp.KernelParams(family, 0.8, 1.2, 0.02))
+    rng = RngState(15)
+    tasks = sim4opt.generate_tasks(ds, cfg, rng)
+    assert [t.task_id for t in tasks] == list(range(7))
+    for i, t in enumerate(tasks):
+        params = sim4opt.sample_task_params(cfg.base_params, cfg.delta_frac, rng.split(i))
+        assert t.params == params
+        states, labels = _per_task_walks(ds, params, cfg)
+        assert np.array_equal(t.states, states)
+        assert np.array_equal(t.labels, labels)
+        for traj, s, z in zip(t.trajectories, states, labels):
+            assert np.array_equal(traj.states, s) and np.array_equal(traj.labels, z)
+
+
+def _poisoning(monkeypatch, poisoned_call: int, every_retry: bool):
+    """Patch sample_task_params so that the draw with index ``poisoned_call``
+    (and, with ``every_retry``, every later draw from the same stream) has a
+    prior mean of 1e12, whose walk leaves the guard radius in one step.
+    Returns the list of streams drawn from, one entry per call."""
+    real = sim4opt.sample_task_params
+    streams = []
+
+    def patched(base, delta_frac, rng):
+        streams.append(rng)
+        params = real(base, delta_frac, rng)
+        call = len(streams) - 1
+        bad = call == poisoned_call or (
+            every_retry and call > poisoned_call and rng is streams[poisoned_call])
+        return params.with_mean(1e12) if bad else params
+
+    monkeypatch.setattr(sim4opt, "sample_task_params", patched)
+    return streams
+
+
+def test_diverged_task_alone_takes_its_next_draw(monkeypatch):
+    ds = offline_2d()
+    cfg = sim4opt.Sim4OptConfig(n_functions=5, evolve_steps=3)
+    clean = sim4opt.generate_tasks(ds, cfg, RngState(16))
+    task_rng = RngState(16).split(2)
+    sim4opt.sample_task_params(cfg.base_params, cfg.delta_frac, task_rng)
+    second = sim4opt.sample_task_params(cfg.base_params, cfg.delta_frac, task_rng)
+    streams = _poisoning(monkeypatch, poisoned_call=2, every_retry=False)
+    tasks = sim4opt.generate_tasks(ds, cfg, RngState(16))
+    assert len(streams) == 6 and streams[5] is streams[2]  # task 2 drew once more
+    assert tasks[2].params == second != clean[2].params
+    for i in (0, 1, 3, 4):
+        assert tasks[i].params == clean[i].params
+        assert np.array_equal(tasks[i].states, clean[i].states)
+        assert np.array_equal(tasks[i].labels, clean[i].labels)
+
+
+def test_task_generation_fails_after_max_retries(monkeypatch):
+    ds = offline_2d()
+    cfg = sim4opt.Sim4OptConfig(n_functions=4, evolve_steps=2)
+    streams = _poisoning(monkeypatch, poisoned_call=1, every_retry=True)
+    with pytest.raises(sim4opt.TaskGenerationFailed, match="task 1 failed after 3 retries"):
+        sim4opt.generate_tasks(ds, cfg, RngState(17))
+    assert sum(r is streams[1] for r in streams) == 1 + sim4opt.MAX_TASK_RETRIES
 
 
 def test_generate_minimal_instance_shapes():
@@ -148,18 +251,10 @@ def test_generate_needs_two_points():
         sim4opt.generate_tasks(ds, sim4opt.Sim4OptConfig(n_functions=1), RngState(0))
 
 
-def test_start_subsample_caps_trajectories():
-    ds = offline_2d(n=12)
-    cfg = sim4opt.Sim4OptConfig(n_functions=1, evolve_steps=2, start_subsample=5)
-    tasks = sim4opt.generate_tasks(ds, cfg, RngState(7))
-    assert len(tasks[0].trajectories) == 5
-
-
 def test_build_pairs_single_pair_trajectory():
     states = np.array([[0.0], [1.0], [2.0]])
     labels = np.array([0.0, 0.5, 1.0])
-    t = sim4opt.SyntheticTask(0, gp.KernelParams(), (sim4opt.Trajectory(states, labels),),
-                              states, labels)
+    t = sim4opt.SyntheticTask(0, gp.KernelParams(), states[None], labels[None])
     starts, ends, dz = sim4opt.build_pairs(t, RngState(8), 10_000)
     assert np.all(dz >= 0)
     # 2 possible pairs, each near half the draws

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -152,15 +154,14 @@ def test_backward_params_jvp_vs_finite_differences():
         r = RngState(90 + seed)
         X = r.normal(size=(3, 2))
         V = r.normal(size=(3, 2))
-        dpred = r.normal(size=3)
         djvp = r.normal(size=3)
 
         def loss(p):
-            pred, jvp, _ = sg.forward_jvp(net, X, V, params_override=p)
-            return float(dpred @ pred + djvp @ jvp)
+            _, jvp, _ = sg.forward_jvp(net, X, V, params_override=p)
+            return float(djvp @ jvp)
 
         _, _, cache = sg.forward_jvp(net, X, V)
-        grad = sg.backward_params_jvp(net, cache, dpred, djvp)
+        grad = sg.backward_params_jvp(net, cache, djvp)
         fd = fd_param_grad(loss, net.params)
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) <= 1e-4
 
@@ -215,6 +216,11 @@ def test_checkpoint_bad_magic(tmp_path):
         sg.load_checkpoint(p)
 
 
+def _resealed(data: bytes) -> bytes:
+    """A checkpoint body with a fresh sha256 trailer, as save_checkpoint writes."""
+    return data + hashlib.sha256(data).digest()
+
+
 @pytest.mark.parametrize("norm", [sg.NORM_BATCH, sg.NORM_NONE])
 def test_checkpoint_rejects_short_and_long_files(tmp_path, norm):
     net = small_net(dim=8, hidden=(4,), norm=norm, seed=23)
@@ -225,16 +231,48 @@ def test_checkpoint_rejects_short_and_long_files(tmp_path, norm):
         p.write_bytes(bad)
         with pytest.raises(sg.NumericalError):
             sg.load_checkpoint(p)
+    body = data[:-32]
+    for bad in (body[:-8], body + b"\x00" * 8):  # sealed, but the wrong length
+        p.write_bytes(_resealed(bad))
+        with pytest.raises(sg.NumericalError, match="header implies"):
+            sg.load_checkpoint(p)
 
 
 def test_checkpoint_rejects_bad_header(tmp_path):
     net = small_net(dim=3, hidden=(5,), seed=24)
     p = tmp_path / "net.ckpt"
     sg.save_checkpoint(net, p)
-    data = p.read_bytes()
+    body = p.read_bytes()[:-32]
     for old, new in ((b'"mode": "eval"', b'"mode": "evil"'), (b'"n_stats": 1', b'"n_stats": 2'),
                      (b'"input_dim"', b'"input_dam"'), (b'"hidden": [', b'"hidden": {')):
-        assert old in data
-        p.write_bytes(data.replace(old, new))
+        assert old in body
+        edited = body.replace(old, new)
+        p.write_bytes(_resealed(edited))
         with pytest.raises(sg.NumericalError, match="header"):
             sg.load_checkpoint(p)
+        p.write_bytes(edited + hashlib.sha256(body).digest())  # the old digest
+        with pytest.raises(sg.NumericalError, match="checksum"):
+            sg.load_checkpoint(p)
+
+
+def test_checkpoint_checksum_and_version(tmp_path):
+    net = small_net(dim=3, hidden=(5,), seed=25)
+    p = tmp_path / "net.ckpt"
+    sg.save_checkpoint(net, p)
+    data = p.read_bytes()
+    assert data[4] == sg.CHECKPOINT_VERSION == 2
+    assert data[-32:] == hashlib.sha256(data[:-32]).digest()
+    payload_at = len(data) - 32 - 8 * (net.params.size + 2 * 5)
+    assert data[payload_at:-32] == net.params.astype("<f8").tobytes() + b"".join(
+        m.astype("<f8").tobytes() + v.astype("<f8").tobytes() for m, v in net.norm_stats)
+    # a payload byte, a digest byte, and "slope": 0.01 -> 0.11, still a valid header
+    for at in (payload_at + 3, len(data) - 1, data.index(b'"slope": 0.01') + 11):
+        bad = bytearray(data)
+        bad[at] ^= 0x01
+        p.write_bytes(bytes(bad))
+        with pytest.raises(sg.NumericalError, match="checksum"):
+            sg.load_checkpoint(p)
+    # a version-1 file: the same framing without the trailer
+    p.write_bytes(data[:4] + b"\x01" + data[5:-32])
+    with pytest.raises(sg.NumericalError, match="version 1.*rerun"):
+        sg.load_checkpoint(p)
