@@ -197,10 +197,6 @@ def evolve(
     return states, labels, diverged
 
 
-def _chunk_size(n: int) -> int:
-    return max(1, CHUNK_BYTES // (2 * n * n * 8))
-
-
 def generate_tasks(
     ds: OfflineDataset, cfg: Sim4OptConfig, rng: RngState
 ) -> list[SyntheticTask]:
@@ -212,12 +208,12 @@ def generate_tasks(
     """
     if ds.n < 2:
         raise EmptyTask(f"need at least 2 offline points, got {ds.n}")
-    K = cfg.n_functions
-    rngs = [rng.split(i) for i in range(K)]
-    tasks: list[SyntheticTask | None] = [None] * K
-    errors: list[Exception | None] = [None] * K
-    chunk = _chunk_size(ds.n)
-    pending = list(range(K))
+    n_tasks = cfg.n_functions
+    rngs = [rng.split(i) for i in range(n_tasks)]
+    tasks: list[SyntheticTask | None] = [None] * n_tasks
+    errors: list[Exception | None] = [None] * n_tasks
+    chunk = max(1, CHUNK_BYTES // (2 * ds.n * ds.n * 8))
+    pending = list(range(n_tasks))
     for _attempt in range(1 + MAX_TASK_RETRIES):
         for lo in range(0, len(pending), chunk):
             fitted = []
