@@ -27,7 +27,7 @@ from .dataio import (
     standardize,
 )
 from .errors import ConfigError
-from .matchloss import DEFAULT_MODE, IntegralMode, match_loss, mse_loss, offline_pairs
+from .matchloss import mse_loss
 from .metatrain import MetaConfig, TrainStats, finetune, meta_train
 from .numerics import RngState
 from .search import CandidateSet, gradient_search, init_candidates
@@ -134,11 +134,6 @@ class Oracle:
         return np.sum(-2.0 * diff / (denom**2)[:, :, None], axis=1)
 
 
-def oracle_eval(o: Oracle, x: np.ndarray):
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return float(o.eval_batch(x[None, :])[0]), o.grad_batch(x[None, :])[0]
-
-
 @dataclass(frozen=True)
 class BenchmarkInstance:
     oracle: Oracle
@@ -243,26 +238,13 @@ def _train_supervised(net, ds: OfflineDataset, epochs: int, batch: int, rng: Rng
     return net
 
 
-def _train_matchopt(net, ds: OfflineDataset, epochs: int, batch: int, rng: RngState,
-                    lr: float = 0.001, mode: IntegralMode = DEFAULT_MODE):
-    # warm the norm statistics once on the offline inputs, then train eval-mode
-    net.train()
-    sg.forward(net, ds.X)
-    net.eval()
-    opt = sg.AdamState.for_net(net)
-    for _ in range(epochs):
-        pairs = offline_pairs(ds, batch, rng)
-        _, grad = match_loss(net, pairs, mode)
-        sg.apply_update(net, grad, lr, opt)
-    return net
-
-
 def expt_style_generate(
     ds: OfflineDataset, cfg: PipelineConfig, rng: RngState
 ) -> list[SyntheticTask]:
     """Comparison generator: kernel params drawn log-uniform from a wide fixed
-    range, pseudo-labels taken at the offline inputs themselves, no trajectory
-    evolution (degenerate length-1 trajectories over the flat sorted set)."""
+    range, the offline inputs labeled with that GP's posterior mean, and no
+    evolution: each task is one trajectory, the n offline inputs sorted
+    ascending by label, with states (1, n, d) and labels (1, n)."""
     lo, hi = cfg.expt_param_range
     tasks = []
     mean = float(ds.z.mean())
@@ -276,7 +258,7 @@ def expt_style_generate(
         model = gp.posterior(ds, params)
         labels = gp.posterior_mean_batch(model, ds.X)
         order = np.argsort(labels, kind="stable")
-        tasks.append(SyntheticTask(i, params, ds.X[order][:, None, :], labels[order][:, None]))
+        tasks.append(SyntheticTask(i, params, ds.X[order][None], labels[order][None]))
     return tasks
 
 
@@ -341,12 +323,17 @@ def run_method(
 
     if method in ("ga", "matchopt"):
         net = _make_net(std_ds.dim, cfg, rng.split(STREAM_NET))
+        baseline_rng = rng.split(STREAM_BASELINE)
         if method == "ga":
-            _train_supervised(net, std_ds, cfg.supervised_epochs, cfg.batch_size,
-                              rng.split(STREAM_BASELINE))
+            _train_supervised(net, std_ds, cfg.supervised_epochs, cfg.batch_size, baseline_rng)
         else:
-            _train_matchopt(net, std_ds, cfg.matchopt_epochs, cfg.batch_size,
-                            rng.split(STREAM_BASELINE))
+            # warm the norm statistics once on the offline inputs, then match
+            # gradients eval-mode from a fresh net
+            net.train()
+            sg.forward(net, std_ds.X)
+            net.eval()
+            finetune(net, std_ds, cfg.matchopt_epochs, baseline_rng, lr=0.001,
+                     batch_size=cfg.batch_size, mode=cfg.meta.integral_mode)
     else:
         tasks = stage_gen_tasks(std_ds, cfg, seed, random_gen=method == "optbias_random_gen")
         net, _ = stage_meta_train(std_ds.dim, tasks, cfg, seed,

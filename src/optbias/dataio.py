@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 from dataclasses import dataclass, field
 
@@ -193,10 +192,3 @@ def write_manifest(path, config: dict, seeds: list[int], inputs: dict[str, str])
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def dataset_hash(ds: OfflineDataset) -> str:
-    buf = io.BytesIO()
-    buf.write(ds.X.tobytes())
-    buf.write(ds.z.tobytes())
-    return content_hash(buf.getvalue())

@@ -1,6 +1,7 @@
 """Gaussian-process machinery: RBF / Matern-5/2 kernels, posterior mean and
 variance, analytic input-gradient of the posterior mean, UCB, and grid-based
-marginal-likelihood hyperparameter selection.
+marginal-likelihood hyperparameter selection. A model is always fitted to
+data; there is no prior-only model.
 
 The posterior here is deliberately lightweight: it drives synthetic trajectory
 generation, not high-fidelity prediction, so the hyperparameter fit is a small
@@ -121,14 +122,6 @@ def kernel_matrix(p: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return _kernel_from_sqdist(p.family, _sqdist(A, B), _hyper(p))
 
 
-def kernel_eval(p: KernelParams, x: np.ndarray, x2: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    x2 = np.asarray(x2, dtype=np.float64).ravel()
-    if x.shape != x2.shape:
-        raise DimensionMismatch(f"{x.shape} vs {x2.shape}")
-    return float(kernel_matrix(p, x[None, :], x2[None, :])[0, 0])
-
-
 @dataclass(frozen=True)
 class GpModel:
     params: KernelParams
@@ -137,21 +130,12 @@ class GpModel:
     chol_L: np.ndarray
 
     @property
-    def n(self) -> int:
-        return 0 if self.X_train is None else self.X_train.shape[0]
-
-    @property
-    def dim(self) -> int | None:
-        return None if self.X_train is None else self.X_train.shape[1]
+    def dim(self) -> int:
+        return self.X_train.shape[1]
 
 
-def posterior(ds: OfflineDataset | None, p: KernelParams) -> GpModel:
-    """Fit alpha = (K + noise*I)^-1 (z - mean) with the jitter escalation policy.
-
-    An empty/None dataset yields the prior: posterior_mean returns p.mean.
-    """
-    if ds is None or ds.n == 0:
-        return GpModel(p, None, None, None)
+def posterior(ds: OfflineDataset, p: KernelParams) -> GpModel:
+    """Fit alpha = (K + noise*I)^-1 (z - mean) with the jitter escalation policy."""
     K = kernel_matrix(p, ds.X, ds.X)
     L = cholesky_factor(K + p.noise_variance * np.eye(ds.n))
     alpha = cholesky_solve(L, ds.z - p.mean)
@@ -169,15 +153,8 @@ def posterior_mean(g: GpModel, x: np.ndarray) -> float:
 
 def posterior_mean_batch(g: GpModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if g.X_train is None:
-        return np.full(X.shape[0], g.params.mean)
     _check_query(g, X)
     return g.params.mean + _kstar(g, X) @ g.alpha
-
-
-def posterior_var(g: GpModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return float(posterior_var_batch(g, x[None, :])[0])
 
 
 def _check_query(g: GpModel, X: np.ndarray) -> None:
@@ -197,8 +174,6 @@ def _clamped_var(signal_variance, Ks: np.ndarray, C: np.ndarray) -> np.ndarray:
 
 def posterior_var_batch(g: GpModel, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if g.X_train is None:
-        return np.full(X.shape[0], g.params.signal_variance)
     _check_query(g, X)
     Ks = _kstar(g, X)
     return _clamped_var(g.params.signal_variance, Ks, cholesky_solve(g.chol_L, Ks.T))
@@ -212,8 +187,6 @@ def posterior_mean_grad(g: GpModel, x: np.ndarray) -> np.ndarray:
 def posterior_mean_grad_batch(g: GpModel, X: np.ndarray) -> np.ndarray:
     """Rows of grad_x mu at each query: sum_j alpha_j grad_x k(x, x_j)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if g.X_train is None:
-        return np.zeros_like(X)
     _check_query(g, X)
     d2 = _sqdist(X, g.X_train)
     h = _hyper(g.params)
@@ -242,7 +215,7 @@ def _ucb_scale(var: np.ndarray, beta: float) -> np.ndarray:
 def ucb_grad_batch(g: GpModel, X: np.ndarray, beta: float) -> np.ndarray:
     """grad mu + beta * grad var / (2 sqrt var); sqrt term dropped below var 1e-12."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if beta == 0 or g.X_train is None:
+    if beta == 0:
         return posterior_mean_grad_batch(g, X)
     _check_query(g, X)
     d2 = _sqdist(X, g.X_train)

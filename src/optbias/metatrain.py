@@ -78,8 +78,6 @@ def inner_adapt(net, task: SyntheticTask, cfg: MetaConfig, rng: RngState):
     Returns (fast_params, pre_loss, post_loss, post_grad) where post_loss and
     its gradient are evaluated at the fast weights on a fresh target batch.
     """
-    if task.labels.size == 0:
-        raise EmptyTask(f"task {task.task_id} is empty")
     context = _task_batch(task, rng, cfg.context_pairs)
     _refresh_norm_stats(net, context)
     pre_loss, grad = match_loss(net, context, cfg.integral_mode)

@@ -114,8 +114,3 @@ class RngState:
 
     def shuffle(self, x: np.ndarray) -> None:
         self._gen.shuffle(x)
-
-
-def rng_uniform(state: RngState, lo: float, hi: float) -> float:
-    """Single uniform draw in [lo, hi); advances the state."""
-    return state.uniform(lo, hi)

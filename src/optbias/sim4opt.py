@@ -5,9 +5,11 @@ up the posterior-mean (or UCB) field, and pseudo-label all visited states.
 Each offline start point yields one trajectory assembled as
 [reversed descent states | start | ascent states] (length 2M+1), then sorted
 ascending by pseudo-label so consecutive pairs always have dz >= 0. A task
-holds its trajectories as dense (T, kappa, d) states and (T, kappa) labels,
-and also exposes the flat per-function dataset sorted the same way. Tasks
-are walked in chunks, all starts, directions and tasks of a chunk at once.
+holds its trajectories as dense (T, kappa, d) states and (T, kappa) labels.
+Tasks are walked in chunks, all starts, directions and tasks of a chunk at
+once. Training pairs are drawn the same way from every task, including the
+comparison generator's, whose one trajectory is the offline inputs sorted
+by label; a task with kappa < 2 has no pair.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ class Trajectory:
 class SyntheticTask:
     """T trajectories of kappa states, each sorted ascending by pseudo-label.
 
-    ``trajectories`` are views of the dense blocks unless given; ``flat_X``
-    and ``flat_z`` hold all states sorted ascending by label (stable).
+    ``trajectories`` are views of the dense blocks unless given. ``flat_X``
+    and ``flat_z`` are all states sorted ascending by label (stable),
+    computed on each access.
     """
 
     task_id: int
@@ -94,21 +97,24 @@ class SyntheticTask:
     states: np.ndarray  # T x kappa x d
     labels: np.ndarray  # T x kappa, each row nondecreasing
     trajectories: tuple[Trajectory, ...] | None = None
-    flat_X: np.ndarray = field(init=False, repr=False)
-    flat_z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.trajectories is None:
             trajs = tuple(map(Trajectory, self.states, self.labels))
             object.__setattr__(self, "trajectories", trajs)
-        flat_z = self.labels.reshape(-1)
-        order = np.argsort(flat_z, kind="stable")
-        object.__setattr__(self, "flat_X", self.states.reshape(-1, self.states.shape[-1])[order])
-        object.__setattr__(self, "flat_z", flat_z[order])
 
     @property
     def kappa(self) -> int:
         return self.states.shape[1]
+
+    @property
+    def flat_z(self) -> np.ndarray:
+        return np.sort(self.labels, axis=None, kind="stable")
+
+    @property
+    def flat_X(self) -> np.ndarray:
+        order = np.argsort(self.labels, axis=None, kind="stable")
+        return self.states.reshape(-1, self.states.shape[-1])[order]
 
 
 def sample_task_params(
@@ -251,18 +257,10 @@ def build_pairs(t: SyntheticTask, rng: RngState, count: int):
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if t.labels.size == 0:
-        raise EmptyTask(f"task {t.task_id} has no trajectories")
-    kappa = t.kappa
-    if kappa < 2:
-        # degenerate length-1 trajectories: pair over the flat sorted set
-        n = t.flat_z.shape[0]
-        if n < 2:
-            raise EmptyTask(f"task {t.task_id} has fewer than 2 states")
-        r = rng.integers(n - 1, size=count)
-        return t.flat_X[r], t.flat_X[r + 1], t.flat_z[r + 1] - t.flat_z[r]
+    if t.labels.size == 0 or t.kappa < 2:
+        raise EmptyTask(f"task {t.task_id} has no trajectory of 2 or more states")
     ti = rng.integers(t.labels.shape[0], size=count)
-    r = rng.integers(kappa - 1, size=count)
+    r = rng.integers(t.kappa - 1, size=count)
     return t.states[ti, r], t.states[ti, r + 1], t.labels[ti, r + 1] - t.labels[ti, r]
 
 

@@ -328,12 +328,6 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n))
 
 
-def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    if params.shape != grad.shape:
-        raise ShapeMismatch(f"{params.shape} vs {grad.shape}")
-    return params - lr * grad
-
-
 def adam_step(params: np.ndarray, grad: np.ndarray, lr: float, state: AdamState) -> np.ndarray:
     if params.shape != grad.shape:
         raise ShapeMismatch(f"{params.shape} vs {grad.shape}")
@@ -345,12 +339,9 @@ def adam_step(params: np.ndarray, grad: np.ndarray, lr: float, state: AdamState)
     return params - lr * mhat / (np.sqrt(vhat) + state.eps)
 
 
-def apply_update(net: SurrogateNet, grad: np.ndarray, lr: float, optimizer_state=None):
-    """In-place parameter update: SGD when no state is given, Adam otherwise."""
-    if optimizer_state is None:
-        net.params = sgd_step(net.params, grad, lr)
-    else:
-        net.params = adam_step(net.params, grad, lr, optimizer_state)
+def apply_update(net: SurrogateNet, grad: np.ndarray, lr: float, optimizer_state: AdamState):
+    """In-place Adam update of the net's parameters."""
+    net.params = adam_step(net.params, grad, lr, optimizer_state)
     return net
 
 

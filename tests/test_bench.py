@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from optbias import bench
+from optbias import bench, gp, surrogate as sg
 from optbias.dataio import normalized_score, standardize
 from optbias.errors import ConfigError
+from optbias.matchloss import EXACT
+from optbias.metatrain import finetune
 from optbias.numerics import RngState
+from optbias.sim4opt import build_pairs
 
 SMALL = bench.PipelineConfig(
     sim=bench.Sim4OptConfig(n_functions=4, evolve_steps=5),
@@ -31,15 +36,15 @@ def test_oracle_validation():
 
 
 def test_oracle_known_optima():
+    origin = np.zeros((1, 4))
     sphere = bench.Oracle("sphere", 4)
-    v, g = bench.oracle_eval(sphere, np.zeros(4))
-    assert v == 0.0 and np.allclose(g, 0.0)
+    assert sphere.eval_batch(origin)[0] == 0.0
+    assert np.allclose(sphere.grad_batch(origin), 0.0)
     ackley = bench.Oracle("ackley", 4)
-    v, g = bench.oracle_eval(ackley, np.zeros(4))
-    assert abs(v) <= 1e-12 and np.allclose(g, 0.0)
+    assert abs(ackley.eval_batch(origin)[0]) <= 1e-12
+    assert np.allclose(ackley.grad_batch(origin), 0.0)
     rast = bench.Oracle("rastrigin", 4)
-    v, _ = bench.oracle_eval(rast, np.zeros(4))
-    assert abs(v) <= 1e-12
+    assert abs(rast.eval_batch(origin)[0]) <= 1e-12
 
 
 def test_oracle_gradients_vs_finite_differences():
@@ -130,6 +135,59 @@ def test_expt_style_generate_stays_on_offline_inputs():
         assert np.all(np.diff(t.flat_z) >= 0)
         for state in t.flat_X:
             assert tuple(state) in rows
+
+
+def test_expt_style_task_is_one_sorted_trajectory():
+    b = small_instance()
+    std_ds, _ = standardize(b.offline_subset)
+    n, d = std_ds.X.shape
+    for t in bench.expt_style_generate(std_ds, SMALL, RngState(2)):
+        assert t.states.shape == (1, n, d) and t.labels.shape == (1, n)
+        # the pairs a flat reference draws: consecutive offline inputs sorted
+        # by the task GP's posterior mean, from the same stream
+        z = gp.posterior_mean_batch(gp.posterior(std_ds, t.params), std_ds.X)
+        order = np.argsort(z, kind="stable")
+        X_ref, z_ref = std_ds.X[order], z[order]
+        r = RngState(7).integers(n - 1, size=500)
+        want = (X_ref[r], X_ref[r + 1], z_ref[r + 1] - z_ref[r])
+        got = build_pairs(t, RngState(7), 500)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _score(b, designs, scaler):
+    values = b.oracle.eval_batch(scaler.inverse_x(designs))
+    return np.array([normalized_score(v, *b.y_bounds) for v in values])
+
+
+def _matchopt_by_hand(b, cfg, seed):
+    """Norm warm-up on the offline inputs, finetune, search: run_method's matchopt."""
+    std_ds, scaler = standardize(b.offline_subset)
+    net = bench._make_net(std_ds.dim, cfg, RngState(seed).split(bench.STREAM_NET))
+    net.train()
+    sg.forward(net, std_ds.X)
+    net.eval()
+    finetune(net, std_ds, cfg.matchopt_epochs, RngState(seed).split(bench.STREAM_BASELINE),
+             lr=1e-3, batch_size=cfg.batch_size, mode=cfg.meta.integral_mode)
+    final = bench.stage_search(net, std_ds, cfg, seed, bench._search_bounds(b, scaler))
+    return _score(b, final.designs, scaler)
+
+
+def test_matchopt_is_warm_up_plus_finetune_in_the_configured_mode():
+    b = small_instance()
+    exact = replace(SMALL, meta=replace(SMALL.meta, integral_mode=EXACT))
+    report = bench.run_method("matchopt", b, exact, 0)
+    assert np.array_equal(report.candidate_scores, _matchopt_by_hand(b, exact, 0))
+    quadrature = bench.run_method("matchopt", b, SMALL, 0)
+    assert not np.array_equal(report.candidate_scores, quadrature.candidate_scores)
+
+
+def test_matchopt_zero_epochs_scores():
+    b = small_instance()
+    cfg = replace(SMALL, matchopt_epochs=0)
+    report = bench.run_method("matchopt", b, cfg, 1)
+    assert len(report.candidate_scores) == min(cfg.n_candidates, b.offline_subset.n)
+    assert np.isfinite(report.candidate_scores).all()
+    assert np.array_equal(report.candidate_scores, _matchopt_by_hand(b, cfg, 1))
 
 
 def test_expt_style_range_smaller_than_sim4opt():

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optbias import cli
+from optbias import cli, gp
 from optbias.dataio import OfflineDataset, save_dataset
 from optbias.errors import ConfigError
 from optbias.numerics import RngState
+from optbias.sim4opt import SyntheticTask, save_bundle
 
 SMALL_CFG = """
 [sim4opt]
@@ -194,6 +195,24 @@ def test_v1_bundle_exit_3(tmp_path, data_csv, cfg_file, capsys):
                    "meta-train", "--data", str(data_csv), "--tasks", str(p)])
     assert rc == 3
     assert "gen-tasks" in capsys.readouterr().err
+
+
+def test_single_state_trajectories_exit_3(tmp_path, data_csv, cfg_file, capsys):
+    # a sealed bundle whose trajectories hold one state each (kappa = 1) has
+    # no consecutive pair to train on
+    X = RngState(1).normal(size=(15, 2))
+    z = -np.sum(X * X, axis=1)
+    tasks = [SyntheticTask(i, gp.KernelParams(), X[:, None, :], z[:, None]) for i in range(3)]
+    p = tmp_path / "tasks.json"
+    save_bundle(tasks, p)
+    assert cli.main(["inspect", "--file", str(p)]) == 0
+    capsys.readouterr()
+    for extra in ([], ["--pretrain"]):
+        rc = cli.main(["--config", str(cfg_file), "--output-dir", str(tmp_path / "out"),
+                       "meta-train", "--data", str(data_csv), "--tasks", str(p)] + extra)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "2 or more states" in err and "Traceback" not in err
 
 
 def test_truncated_bundle_exit_4(tmp_path, data_csv, cfg_file):

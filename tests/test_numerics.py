@@ -9,7 +9,6 @@ from optbias.numerics import (
     ShapeMismatch,
     cholesky_factor,
     cholesky_solve,
-    rng_uniform,
 )
 
 
@@ -101,12 +100,12 @@ def test_rng_split_deterministic_and_distinct():
 
 
 def test_rng_uniform_degenerate_interval():
-    assert rng_uniform(RngState(0), 3.0, 3.0) == 3.0
+    assert RngState(0).uniform(3.0, 3.0) == 3.0
 
 
 def test_rng_uniform_invalid_range():
     with pytest.raises(InvalidRange):
-        rng_uniform(RngState(0), 1.0, 0.0)
+        RngState(0).uniform(1.0, 0.0)
 
 
 def test_rng_uniform_law_of_large_numbers():

@@ -166,12 +166,6 @@ def test_backward_params_jvp_vs_finite_differences():
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) <= 1e-4
 
 
-def test_sgd_step():
-    p = np.ones(4)
-    g = np.ones(4)
-    assert np.allclose(sg.sgd_step(p, g, 0.1), 0.9)
-
-
 def test_adam_one_step_oracle():
     p = np.array([1.0, -2.0])
     g = np.array([0.5, 0.5])
@@ -192,7 +186,7 @@ def test_adam_zero_grad_zero_state():
 def test_apply_update_shape_mismatch():
     net = small_net()
     with pytest.raises(sg.ShapeMismatch):
-        sg.apply_update(net, np.zeros(3), 0.1)
+        sg.apply_update(net, np.zeros(3), 0.1, sg.AdamState.for_net(net))
 
 
 def test_checkpoint_round_trip(tmp_path):
