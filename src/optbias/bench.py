@@ -228,13 +228,11 @@ def _fit_base_params(ds: OfflineDataset, cfg: PipelineConfig) -> gp.KernelParams
 
 def _train_supervised(net, ds: OfflineDataset, epochs: int, batch: int, rng: RngState,
                       lr: float = 0.001):
-    net.train()
     opt = sg.AdamState.for_net(net)
     for _ in range(epochs):
         idx = rng.choice(ds.n, min(batch, ds.n))
         _, grad = mse_loss(net, ds, idx)
         sg.apply_update(net, grad, lr, opt)
-    net.eval()
     return net
 
 
@@ -303,7 +301,6 @@ def stage_search(
 ) -> CandidateSet:
     """Candidates from the offline pool, ascended on the surrogate; designs
     stay in standardized units."""
-    net.eval()
     cands = init_candidates(
         net, std_ds, RngState(seed).split(STREAM_CAND), cfg.top_k, cfg.n_candidates
     )
@@ -328,10 +325,8 @@ def run_method(
             _train_supervised(net, std_ds, cfg.supervised_epochs, cfg.batch_size, baseline_rng)
         else:
             # warm the norm statistics once on the offline inputs, then match
-            # gradients eval-mode from a fresh net
-            net.train()
-            sg.forward(net, std_ds.X)
-            net.eval()
+            # gradients under the frozen statistics from a fresh net
+            sg.forward(net, std_ds.X, train=True)
             finetune(net, std_ds, cfg.matchopt_epochs, baseline_rng, lr=0.001,
                      batch_size=cfg.batch_size, mode=cfg.meta.integral_mode)
     else:
@@ -425,6 +420,8 @@ def pseudo_value_distribution(
 def summarize(reports: list[ScoreReport]):
     """Per method x benchmark mean +/- population std, per-benchmark average
     ranks (ties share the mean rank), and mean rank per method."""
+    from scipy.stats import rankdata  # here, not at the top: scipy.stats is slow to import
+
     methods = sorted({r.method for r in reports})
     benchmarks = sorted({r.benchmark for r in reports})
     seeds = sorted({r.seed for r in reports})
@@ -442,20 +439,8 @@ def summarize(reports: list[ScoreReport]):
     stds = {(m, b): float(np.std(cells[(m, b)])) for m in methods for b in benchmarks}
     ranks: dict[tuple[str, str], float] = {}
     for b in benchmarks:
-        vals = np.array([means[(m, b)] for m in methods])
-        order = np.argsort(-vals, kind="stable")
-        rank = np.empty(len(methods))
-        pos = 0
-        while pos < len(methods):
-            end = pos
-            while end + 1 < len(methods) and vals[order[end + 1]] == vals[order[pos]]:
-                end += 1
-            shared = (pos + end) / 2.0 + 1.0
-            for k in range(pos, end + 1):
-                rank[order[k]] = shared
-            pos = end + 1
-        for mi, m in enumerate(methods):
-            ranks[(m, b)] = float(rank[mi])
+        rank = rankdata([-means[(m, b)] for m in methods], method="average")
+        ranks.update({(m, b): float(r) for m, r in zip(methods, rank)})
     mean_rank = {
         m: float(np.mean([ranks[(m, b)] for b in benchmarks])) for m in methods
     }

@@ -367,7 +367,7 @@ def cmd_inspect(cfg, args) -> int:
         print(f"surrogate checkpoint: {path}")
         print(f"  arch: input_dim={net.arch.input_dim} hidden={list(net.arch.hidden)} "
               f"slope={net.arch.slope} norm={net.arch.norm}")
-        print(f"  params: {net.params.shape[0]} values, mode={net.mode}")
+        print(f"  params: {net.params.shape[0]} values")
         print(f"  param stats: mean={net.params.mean():.6g} std={net.params.std():.6g}")
         return 0
     tasks = sim4opt.load_bundle(path)

@@ -9,7 +9,9 @@ from x to x'. Two interchangeable integral evaluations are provided:
 * quadrature: midpoint rule with S nodes over the segment, differentiating
   through the S input-gradient evaluations.
 
-Both run the net in eval mode so the norm layers are fixed affine maps.
+Both use the frozen running norm statistics, so the norm layers are fixed
+affine maps; mse_loss normalizes with batch statistics, as supervised
+training does.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def _quadrature_terms(net, batch: PairBatch, S: int, params):
     nodes = batch.starts[None, :, :] + t[:, None, None] * dx[None, :, :]
     nodes = nodes.reshape(S * b, d)
     dirs = np.broadcast_to(dx[None, :, :], (S, b, d)).reshape(S * b, d)
-    pred, jvp, cache = sg.forward_jvp(net, nodes, dirs, params_override=params)
+    jvp, cache = sg.forward_jvp(net, nodes, dirs, params_override=params)
     q = jvp.reshape(S, b).mean(axis=0)
     return q, cache
 
@@ -113,37 +115,32 @@ def match_loss(
     """Mean squared gradient-matching residual and its flat-parameter gradient."""
     if pairs.size == 0:
         raise EmptyBatch("empty pair batch")
-    was_mode = net.mode
-    net.eval()
-    try:
-        b = pairs.size
-        if mode.kind == "exact":
-            stacked = np.concatenate([pairs.starts, pairs.ends], axis=0)
-            pred, cache = sg.forward(net, stacked, params_override=params)
-            integral = pred[b:] - pred[:b]
-            resid = pairs.dz - integral
-            loss = float(np.mean(resid**2))
-            dpred = np.concatenate([2.0 * resid / b, -2.0 * resid / b])
-            grad = sg.backward_params(net, cache, dpred)
-        else:
-            q, cache = _quadrature_terms(net, pairs, mode.nodes, params)
-            resid = pairs.dz - q
-            loss = float(np.mean(resid**2))
-            djvp = np.broadcast_to(
-                (-2.0 * resid / (b * mode.nodes))[None, :], (mode.nodes, b)
-            ).ravel()
-            grad = sg.backward_params_jvp(net, cache, djvp)
-        return loss, grad
-    finally:
-        net.mode = was_mode
+    b = pairs.size
+    if mode.kind == "exact":
+        stacked = np.concatenate([pairs.starts, pairs.ends], axis=0)
+        pred, cache = sg.forward(net, stacked, params_override=params)
+        integral = pred[b:] - pred[:b]
+        resid = pairs.dz - integral
+        loss = float(np.mean(resid**2))
+        dpred = np.concatenate([2.0 * resid / b, -2.0 * resid / b])
+        grad = sg.backward_params(net, cache, dpred)
+    else:
+        q, cache = _quadrature_terms(net, pairs, mode.nodes, params)
+        resid = pairs.dz - q
+        loss = float(np.mean(resid**2))
+        djvp = np.broadcast_to(
+            (-2.0 * resid / (b * mode.nodes))[None, :], (mode.nodes, b)
+        ).ravel()
+        grad = sg.backward_params_jvp(net, cache, djvp)
+    return loss, grad
 
 
 def mse_loss(net, ds: OfflineDataset, batch_idx=None, params=None) -> tuple[float, np.ndarray]:
-    """Plain supervised squared-error loss (the GA baseline objective)."""
+    """Supervised squared-error loss (the GA baseline objective) on batch norm statistics."""
     idx = np.arange(ds.n) if batch_idx is None else np.asarray(batch_idx)
     if idx.size == 0:
         raise EmptyBatch("empty index batch")
-    pred, cache = sg.forward(net, ds.X[idx], params_override=params)
+    pred, cache = sg.forward(net, ds.X[idx], params_override=params, train=True)
     resid = pred - ds.z[idx]
     loss = float(np.mean(resid**2))
     grad = sg.backward_params(net, cache, 2.0 * resid / idx.size)

@@ -61,14 +61,9 @@ def _task_batch(t: SyntheticTask, rng: RngState, count: int) -> PairBatch:
 
 def _refresh_norm_stats(net, batch: PairBatch):
     # Track activation statistics from the pair endpoints; loss gradients flow
-    # through the frozen eval-mode statistics, keeping second derivatives
-    # well-posed.
-    if net.arch.norm != sg.NORM_BATCH:
-        return
-    was = net.mode
-    net.train()
-    sg.forward(net, np.concatenate([batch.starts, batch.ends], axis=0))
-    net.mode = was
+    # through the frozen statistics, keeping second derivatives well-posed.
+    if net.arch.norm == sg.NORM_BATCH:
+        sg.forward(net, np.concatenate([batch.starts, batch.ends], axis=0), train=True)
 
 
 def inner_adapt(net, task: SyntheticTask, cfg: MetaConfig, rng: RngState):
@@ -162,7 +157,6 @@ def finetune(net, ds: OfflineDataset, epochs: int, rng: RngState,
         raise TooFewPoints(f"need at least 2 offline points, got {ds.n}")
     if epochs == 0:
         return net
-    net.eval()
     opt = sg.AdamState.for_net(net)
     for _ in range(epochs):
         batch = offline_pairs(ds, batch_size, rng)

@@ -34,7 +34,6 @@ def init_candidates(
     if pool.n <= n_out:
         idx = np.arange(pool.n)
         return CandidateSet(pool.X.copy(), idx)
-    net.eval()
     pred, _ = sg.forward(net, pool.X)
     top_k = min(top_k, pool.n)
     # stable descending sort: negate values, ties broken by original index
@@ -60,7 +59,6 @@ def gradient_search(
         raise ValueError("gamma must be positive")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    net.eval()
     X = c.designs.copy()
     flagged = np.zeros(X.shape[0], dtype=bool)
     for _ in range(steps):

@@ -4,11 +4,12 @@ Architecture: per hidden layer Linear -> Norm -> LeakyReLU, then a linear head
 to one scalar. Parameters (weights, biases, norm scale/shift) live in a single
 flat float64 vector so fast-weight vectors for meta-learning are just arrays.
 
-Norm layers use batch statistics in train mode (running stats updated with
-momentum 0.9) and frozen running statistics in eval mode. Input gradients and
-the forward-over-reverse pass (`backward_params_jvp`) are defined only in eval
-mode, where the norm layer is a fixed affine map and second derivatives are
-well-posed.
+The net holds no train/eval state. `forward(..., train=True)` normalizes with
+batch statistics and moves the running statistics with momentum 0.9; every
+other call normalizes with the frozen running statistics. Input gradients and
+the forward-over-reverse pass (`forward_jvp`, `backward_params_jvp`) always use
+the frozen statistics, where the norm layer is a fixed affine map and second
+derivatives are well-posed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +32,6 @@ NORM_NONE = "none"
 
 
 class InvalidArchitecture(NumericalError):
-    pass
-
-
-class TrainModeInputGrad(NumericalError):
     pass
 
 
@@ -85,7 +82,7 @@ class Architecture:
 class SurrogateNet:
     """Mutable parameter/statistics container; all math is in module functions."""
 
-    def __init__(self, arch: Architecture, params: np.ndarray, norm_stats, mode="train"):
+    def __init__(self, arch: Architecture, params: np.ndarray, norm_stats):
         if params.shape != (arch.n_params(),):
             raise ShapeMismatch(
                 f"params length {params.shape} != {arch.n_params()} for {arch}"
@@ -93,7 +90,6 @@ class SurrogateNet:
         self.arch = arch
         self.params = params
         self.norm_stats = norm_stats  # list of (running_mean, running_var) per layer
-        self.mode = mode
         self._offsets = {name: (shape, off) for name, shape, off in arch.layout()}
 
     def view(self, name: str, params: np.ndarray | None = None):
@@ -101,23 +97,15 @@ class SurrogateNet:
         src = self.params if params is None else params
         return src[off : off + int(np.prod(shape))].reshape(shape)
 
-    def train(self):
-        self.mode = "train"
-        return self
-
-    def eval(self):
-        self.mode = "eval"
-        return self
-
     def copy(self) -> "SurrogateNet":
         stats = [(m.copy(), v.copy()) for m, v in self.norm_stats]
-        return SurrogateNet(self.arch, self.params.copy(), stats, self.mode)
+        return SurrogateNet(self.arch, self.params.copy(), stats)
 
 
 def init_net(arch: Architecture, rng: RngState) -> SurrogateNet:
     """Fan-in-scaled uniform weights, zero biases, unit norm scale, stats (0, 1)."""
     params = np.zeros(arch.n_params())
-    net = SurrogateNet(arch, params, None, mode="train")
+    net = SurrogateNet(arch, params, None)
     prev = arch.input_dim
     for i, w in enumerate(arch.hidden):
         bound = 1.0 / np.sqrt(prev)
@@ -142,11 +130,12 @@ def _check_override(net: SurrogateNet, params_override):
     return p
 
 
-def forward(net: SurrogateNet, X: np.ndarray, params_override=None):
+def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False):
     """Predictions (b,) plus the activation cache for backward_params.
 
-    Train mode normalizes with batch statistics and updates running stats;
-    eval mode uses frozen running stats and never mutates the net.
+    With train=True the norm layers use batch statistics and move the running
+    statistics; otherwise they use the running statistics and the net is not
+    mutated.
     """
     p = _check_override(net, params_override)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -160,7 +149,7 @@ def forward(net: SurrogateNet, X: np.ndarray, params_override=None):
         a = h
         s = a @ net.view(f"W{i}", p) + net.view(f"b{i}", p)
         if net.arch.norm == NORM_BATCH:
-            if net.mode == "train":
+            if train:
                 mu = s.mean(axis=0)
                 var = s.var(axis=0)
                 rm, rv = net.norm_stats[i]
@@ -179,7 +168,7 @@ def forward(net: SurrogateNet, X: np.ndarray, params_override=None):
         h = u * mask
         layers.append({"a": a, "s": s, "std": std, "xhat": xhat, "mask": mask})
     pred = (h @ net.view("Wh", p) + net.view("bh", p)).ravel()
-    cache = {"params": p, "mode": net.mode, "layers": layers, "h_last": h, "X": X}
+    cache = {"params": p, "train": train, "layers": layers, "h_last": h, "X": X}
     return pred, cache
 
 
@@ -190,7 +179,7 @@ def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarra
     if dL.shape[0] != cache["X"].shape[0]:
         raise ShapeMismatch("dL_dpred length does not match the cached batch")
     grad = np.zeros_like(p)
-    g = SurrogateNet(net.arch, grad, net.norm_stats, net.mode)
+    g = SurrogateNet(net.arch, grad, net.norm_stats)
 
     h = cache["h_last"]
     g.view("Wh")[:] = h.T @ dL[:, None]
@@ -205,7 +194,7 @@ def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarra
             g.view(f"g{i}")[:] = (du * xhat).sum(axis=0)
             g.view(f"s{i}")[:] = du.sum(axis=0)
             gam = net.view(f"g{i}", p)
-            if cache["mode"] == "train":
+            if cache["train"]:
                 dxhat = du * gam
                 ds = (
                     dxhat
@@ -219,7 +208,8 @@ def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarra
         a = lay["a"]
         g.view(f"W{i}")[:] = a.T @ ds
         g.view(f"b{i}")[:] = ds.sum(axis=0)
-        dh = ds @ net.view(f"W{i}", p).T
+        if i:
+            dh = ds @ net.view(f"W{i}", p).T
     return grad
 
 
@@ -229,30 +219,24 @@ def input_grad(net: SurrogateNet, x: np.ndarray, params_override=None) -> np.nda
 
 
 def input_grad_batch(net: SurrogateNet, X: np.ndarray, params_override=None) -> np.ndarray:
-    """Per-row grad_x g(x), eval mode only (frozen norm statistics)."""
-    if net.mode != "eval":
-        raise TrainModeInputGrad("input gradients require eval mode")
+    """Per-row grad_x g(x) under the frozen norm statistics."""
     p = _check_override(net, params_override)
     _, cache = forward(net, X, params_override=p)
     dh = np.broadcast_to(net.view("Wh", p).ravel()[None, :], cache["h_last"].shape)
     for i in reversed(range(len(net.arch.hidden))):
         lay = cache["layers"][i]
-        du = dh * lay["mask"]
+        ds = dh * lay["mask"]
         if net.arch.norm == NORM_BATCH:
-            ds = du * net.view(f"g{i}", p) / lay["std"]
-        else:
-            ds = du
+            ds = ds * net.view(f"g{i}", p) / lay["std"]
         dh = ds @ net.view(f"W{i}", p).T
     return dh
 
 
 def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray, params_override=None):
-    """Eval-mode forward that also propagates input tangents V (rows).
+    """Frozen-statistics forward that propagates input tangents V (rows).
 
-    Returns (pred, jvp, cache); jvp[b] = V[b] . grad_x g(X[b]).
+    Returns (jvp, cache); jvp[b] = V[b] . grad_x g(X[b]).
     """
-    if net.mode != "eval":
-        raise TrainModeInputGrad("forward_jvp requires eval mode")
     p = _check_override(net, params_override)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     V = np.atleast_2d(np.asarray(V, dtype=np.float64))
@@ -276,11 +260,9 @@ def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray, params_override
         mask = np.where(u > 0.0, 1.0, net.arch.slope)
         layers.append({"ta": th, "ts": ts, "std": std, "mask": mask})
         h, th = u * mask, tu * mask
-    Wh = net.view("Wh", p)
-    pred = (h @ Wh + net.view("bh", p)).ravel()
-    jvp = (th @ Wh).ravel()
+    jvp = (th @ net.view("Wh", p)).ravel()
     cache = {"params": p, "layers": layers, "th_last": th}
-    return pred, jvp, cache
+    return jvp, cache
 
 
 def backward_params_jvp(net: SurrogateNet, cache, djvp) -> np.ndarray:
@@ -293,7 +275,7 @@ def backward_params_jvp(net: SurrogateNet, cache, djvp) -> np.ndarray:
     p = cache["params"]
     djvp = np.asarray(djvp, dtype=np.float64).ravel()
     grad = np.zeros_like(p)
-    g = SurrogateNet(net.arch, grad, net.norm_stats, net.mode)
+    g = SurrogateNet(net.arch, grad, net.norm_stats)
 
     g.view("Wh")[:] = cache["th_last"].T @ djvp[:, None]
     dth = djvp[:, None] * net.view("Wh", p).ravel()[None, :]
@@ -360,7 +342,6 @@ def save_checkpoint(net: SurrogateNet, path) -> None:
             "hidden": list(net.arch.hidden),
             "slope": net.arch.slope,
             "norm": net.arch.norm,
-            "mode": net.mode,
             "n_stats": len(net.norm_stats),
         },
         sort_keys=True,
@@ -404,8 +385,8 @@ def load_checkpoint(path) -> SurrogateNet:
             meta["input_dim"], tuple(meta["hidden"]), meta["slope"], meta["norm"]
         )
         widths = arch.hidden if arch.norm == NORM_BATCH else ()
-        if meta["mode"] not in ("train", "eval") or meta["n_stats"] != len(widths):
-            raise ValueError(f"bad mode {meta['mode']!r} or n_stats {meta['n_stats']!r}")
+        if meta["n_stats"] != len(widths):
+            raise ValueError(f"bad n_stats {meta['n_stats']!r}")
         n_params = arch.n_params()
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NumericalError(f"{path}: unreadable checkpoint header ({exc!r})") from None
@@ -420,4 +401,4 @@ def load_checkpoint(path) -> SurrogateNet:
     for w in widths:
         stats.append((values[off : off + w], values[off + w : off + 2 * w]))
         off += 2 * w
-    return SurrogateNet(arch, params, stats, meta["mode"])
+    return SurrogateNet(arch, params, stats)

@@ -11,7 +11,7 @@ def rng():
     return RngState(0)
 
 
-def small_net(dim=2, hidden=(6, 5), norm=sg.NORM_BATCH, seed=0, mode="eval"):
+def small_net(dim=2, hidden=(6, 5), norm=sg.NORM_BATCH, seed=0):
     """A tiny surrogate with warmed norm statistics, ready for gradient checks."""
     arch = sg.Architecture(dim, hidden, 0.01, norm)
     net = sg.init_net(arch, RngState(seed))
@@ -19,12 +19,7 @@ def small_net(dim=2, hidden=(6, 5), norm=sg.NORM_BATCH, seed=0, mode="eval"):
     r = RngState(seed + 1)
     net.params = net.params + 0.05 * r.normal(size=net.params.shape)
     if norm == sg.NORM_BATCH:
-        net.train()
-        sg.forward(net, r.normal(size=(32, dim)))
-    if mode == "eval":
-        net.eval()
-    else:
-        net.train()
+        sg.forward(net, r.normal(size=(32, dim)), train=True)
     return net
 
 

@@ -125,9 +125,7 @@ def test_criterion_surrogate_autodiff():
         net = sg.init_net(arch, r)
         net.params = net.params + 0.05 * r.normal(size=net.params.shape)
         if arch.norm == sg.NORM_BATCH:
-            net.train()
-            sg.forward(net, r.normal(size=(16, d)))
-        net.eval()
+            sg.forward(net, r.normal(size=(16, d)), train=True)
         X = r.normal(size=(4, d))
         dpred = r.normal(size=4)
 
@@ -172,9 +170,7 @@ def test_criterion_path_integral_identity():
     r = RngState(3)
     arch = sg.Architecture(3, (512, 128, 32))
     net = sg.init_net(arch, r)
-    net.train()
-    sg.forward(net, r.normal(size=(32, 3)))
-    net.eval()
+    sg.forward(net, r.normal(size=(32, 3)), train=True)
     worst = 0.0
     for _ in range(100):
         x = r.uniform(size=3)

@@ -163,9 +163,7 @@ def _matchopt_by_hand(b, cfg, seed):
     """Norm warm-up on the offline inputs, finetune, search: run_method's matchopt."""
     std_ds, scaler = standardize(b.offline_subset)
     net = bench._make_net(std_ds.dim, cfg, RngState(seed).split(bench.STREAM_NET))
-    net.train()
-    sg.forward(net, std_ds.X)
-    net.eval()
+    sg.forward(net, std_ds.X, train=True)
     finetune(net, std_ds, cfg.matchopt_epochs, RngState(seed).split(bench.STREAM_BASELINE),
              lr=1e-3, batch_size=cfg.batch_size, mode=cfg.meta.integral_mode)
     final = bench.stage_search(net, std_ds, cfg, seed, bench._search_bounds(b, scaler))

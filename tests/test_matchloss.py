@@ -12,7 +12,7 @@ def linear_net(w, dim):
     """Single hidden layer with slope ~1 is awkward; build exact linearity with
     an identity-free trick: no-norm net whose composed weights realize w^T x."""
     arch = sg.Architecture(dim, (dim,), slope=0.5, norm=sg.NORM_NONE)
-    net = sg.SurrogateNet(arch, np.zeros(arch.n_params()), [], mode="eval")
+    net = sg.SurrogateNet(arch, np.zeros(arch.n_params()), [])
     # positive and negative pass through W0 = I, head = w; LeakyReLU breaks
     # exact linearity, so instead route through a large positive offset
     net.view("W0")[:] = np.eye(dim)
@@ -78,9 +78,7 @@ def test_quadrature_converges_to_exact():
     # unit-cube segments, the regime the matching losses operate in.
     r = RngState(4)
     net = sg.init_net(sg.Architecture(3, (512, 128, 32)), RngState(3))
-    net.train()
-    sg.forward(net, r.normal(size=(32, 3)))
-    net.eval()
+    sg.forward(net, r.normal(size=(32, 3)), train=True)
     worst = 0.0
     for _ in range(100):
         x = r.uniform(size=3)
@@ -152,13 +150,6 @@ def test_match_loss_grad_vs_finite_differences(mode):
     assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) <= 1e-4
 
 
-def test_match_loss_restores_mode():
-    net = small_net(mode="train")
-    batch = ml.offline_pairs(toy_dataset(), 8, RngState(15))
-    ml.match_loss(net, batch, ml.EXACT)
-    assert net.mode == "train"
-
-
 def test_match_loss_empty_batch():
     net = small_net()
     with pytest.raises(Exception):
@@ -187,7 +178,7 @@ def test_match_loss_training_signal():
 def test_mse_loss_values_and_grad():
     net = small_net(dim=2, hidden=(5, 4), seed=7)
     ds = toy_dataset(n=10, seed=17)
-    pred, _ = sg.forward(net, ds.X)
+    pred, _ = sg.forward(net.copy(), ds.X, train=True)
     perfect = OfflineDataset(ds.X, pred)
     loss, _ = ml.mse_loss(net, perfect)
     assert loss == pytest.approx(0.0, abs=1e-20)
@@ -203,7 +194,7 @@ def test_mse_loss_values_and_grad():
 
 def test_mse_loss_constant_zero_net_unit_variance():
     arch = sg.Architecture(2, (4,), norm=sg.NORM_NONE)
-    net = sg.SurrogateNet(arch, np.zeros(arch.n_params()), [], mode="eval")
+    net = sg.SurrogateNet(arch, np.zeros(arch.n_params()), [])
     r = RngState(19)
     z = r.normal(size=500)
     z = (z - z.mean()) / z.std()

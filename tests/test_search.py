@@ -12,11 +12,6 @@ class QuadraticNet:
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
-        self.mode = "eval"
-
-    def eval(self):
-        self.mode = "eval"
-        return self
 
 
 def _patch_quadratic(monkeypatch, net):

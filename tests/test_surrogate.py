@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from optbias import matchloss as ml
 from optbias import surrogate as sg
 from optbias.numerics import RngState
 from conftest import fd_param_grad, small_net
@@ -35,7 +36,7 @@ def test_init_deterministic():
 
 def test_forward_zero_weights():
     arch = sg.Architecture(2, (4, 3), norm=sg.NORM_NONE)
-    net = sg.SurrogateNet(arch, np.zeros(arch.n_params()), [], mode="eval")
+    net = sg.SurrogateNet(arch, np.zeros(arch.n_params()), [])
     pred, _ = sg.forward(net, np.ones((5, 2)))
     assert np.allclose(pred, 0.0)
 
@@ -76,6 +77,28 @@ def test_forward_override_purity_eval():
     assert not np.allclose(p1, p2)
 
 
+def test_only_a_train_forward_moves_norm_stats():
+    net = small_net(dim=3, hidden=(6, 5), seed=31)
+    r = RngState(32)
+    X, V = r.normal(size=(7, 3)), r.normal(size=(7, 3))
+    before = [(m.copy(), v.copy()) for m, v in net.norm_stats]
+    sg.forward(net, X)
+    sg.forward_jvp(net, X, V)
+    sg.input_grad_batch(net, X)
+    for mode in (ml.EXACT, ml.DEFAULT_MODE):
+        ml.match_loss(net, ml.PairBatch(X, V, r.normal(size=7)), mode)
+    for (m0, v0), (m1, v1) in zip(before, net.norm_stats):
+        assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
+
+    assert sg.RUNNING_MOMENTUM == 0.9
+    _, cache = sg.forward(net, X, train=True)
+    for (m0, v0), (m1, v1), lay in zip(before, net.norm_stats, cache["layers"]):
+        s = lay["s"]  # the batch the layer normalized with its own statistics
+        assert np.array_equal(m1, m0 * 0.9 + (1.0 - 0.9) * s.mean(axis=0))
+        assert np.array_equal(v1, v0 * 0.9 + (1.0 - 0.9) * s.var(axis=0))
+        assert not np.array_equal(m0, m1)
+
+
 def test_backward_params_zero_and_linearity():
     net = small_net()
     X = RngState(7).normal(size=(4, 2))
@@ -90,34 +113,30 @@ def test_backward_params_zero_and_linearity():
 
 @pytest.mark.parametrize("mode", ["eval", "train"])
 def test_backward_params_vs_finite_differences(mode):
+    train = mode == "train"
     for seed in range(5):
-        net = small_net(dim=2, hidden=(6, 5), seed=seed, mode=mode)
+        net = small_net(dim=2, hidden=(6, 5), seed=seed)
         r = RngState(50 + seed)
         X = r.normal(size=(5, 2))
         d = r.normal(size=5)
-        if mode == "train":
+        if train:
             # freeze a stats snapshot so repeated forwards see the same state
             stats = [(m.copy(), v.copy()) for m, v in net.norm_stats]
 
         def loss(p):
-            if mode == "train":
+            if train:
                 net.norm_stats = [(m.copy(), v.copy()) for m, v in stats]
-            pred, _ = sg.forward(net, X, params_override=p)
+            pred, _ = sg.forward(net, X, params_override=p, train=train)
             return float(d @ pred)
 
-        if mode == "train":
+        if train:
             net.norm_stats = [(m.copy(), v.copy()) for m, v in stats]
-        _, cache = sg.forward(net, X)
+        _, cache = sg.forward(net, X, train=train)
+        assert cache["train"] is train
         grad = sg.backward_params(net, cache, d)
         fd = fd_param_grad(loss, net.params)
         denom = max(np.abs(fd).max(), 1e-8)
         assert np.abs(grad - fd).max() / denom <= 1e-4
-
-
-def test_input_grad_requires_eval():
-    net = small_net(mode="train")
-    with pytest.raises(sg.TrainModeInputGrad):
-        sg.input_grad(net, np.zeros(2))
 
 
 def test_input_grad_vs_finite_differences():
@@ -141,9 +160,7 @@ def test_forward_jvp_matches_input_grad():
     r = RngState(12)
     X = r.normal(size=(4, 3))
     V = r.normal(size=(4, 3))
-    pred0, _ = sg.forward(net, X)
-    pred, jvp, _ = sg.forward_jvp(net, X, V)
-    assert np.allclose(pred, pred0)
+    jvp, _ = sg.forward_jvp(net, X, V)
     G = sg.input_grad_batch(net, X)
     assert np.allclose(jvp, np.sum(G * V, axis=1), atol=1e-12)
 
@@ -157,10 +174,10 @@ def test_backward_params_jvp_vs_finite_differences():
         djvp = r.normal(size=3)
 
         def loss(p):
-            _, jvp, _ = sg.forward_jvp(net, X, V, params_override=p)
+            jvp, _ = sg.forward_jvp(net, X, V, params_override=p)
             return float(djvp @ jvp)
 
-        _, _, cache = sg.forward_jvp(net, X, V)
+        _, cache = sg.forward_jvp(net, X, V)
         grad = sg.backward_params_jvp(net, cache, djvp)
         fd = fd_param_grad(loss, net.params)
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) <= 1e-4
@@ -196,7 +213,6 @@ def test_checkpoint_round_trip(tmp_path):
     back = sg.load_checkpoint(p)
     assert back.arch == net.arch
     assert np.array_equal(back.params, net.params)
-    assert back.mode == net.mode
     for (m0, v0), (m1, v1) in zip(net.norm_stats, back.norm_stats):
         assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
     X = RngState(22).normal(size=(5, 3))
@@ -237,8 +253,8 @@ def test_checkpoint_rejects_bad_header(tmp_path):
     p = tmp_path / "net.ckpt"
     sg.save_checkpoint(net, p)
     body = p.read_bytes()[:-32]
-    for old, new in ((b'"mode": "eval"', b'"mode": "evil"'), (b'"n_stats": 1', b'"n_stats": 2'),
-                     (b'"input_dim"', b'"input_dam"'), (b'"hidden": [', b'"hidden": {')):
+    for old, new in ((b'"n_stats": 1', b'"n_stats": 2'), (b'"input_dim"', b'"input_dam"'),
+                     (b'"hidden": [', b'"hidden": {')):
         assert old in body
         edited = body.replace(old, new)
         p.write_bytes(_resealed(edited))
@@ -247,6 +263,24 @@ def test_checkpoint_rejects_bad_header(tmp_path):
         p.write_bytes(edited + hashlib.sha256(body).digest())  # the old digest
         with pytest.raises(sg.NumericalError, match="checksum"):
             sg.load_checkpoint(p)
+
+
+def test_checkpoint_with_a_mode_key_still_loads(tmp_path):
+    # version-2 files written before the net lost its train/eval mode carry a
+    # "mode" header key; the loader ignores it
+    net = small_net(dim=3, hidden=(5,), seed=26)
+    p = tmp_path / "net.ckpt"
+    sg.save_checkpoint(net, p)
+    data = p.read_bytes()[:-32]
+    hlen = int.from_bytes(data[5:9], "little")
+    header = data[9 : 9 + hlen].replace(b'"input_dim": 3,', b'"input_dim": 3, "mode": "eval",')
+    assert b'"mode": "eval"' in header
+    p.write_bytes(_resealed(data[:5] + len(header).to_bytes(4, "little") + header
+                            + data[9 + hlen :]))
+    back = sg.load_checkpoint(p)
+    assert np.array_equal(back.params, net.params)
+    for (m0, v0), (m1, v1) in zip(net.norm_stats, back.norm_stats):
+        assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
 
 
 def test_checkpoint_checksum_and_version(tmp_path):
