@@ -177,7 +177,6 @@ class PipelineConfig:
     supervised_epochs: int = 200  # GA baseline and diagnostics
     matchopt_epochs: int = 200
     batch_size: int = 128
-    expt_param_range: tuple[float, float] = (0.1, 10.0)
 
     def __post_init__(self):
         sg.Architecture(1, self.hidden, self.slope, self.norm)
@@ -186,8 +185,9 @@ class PipelineConfig:
         for name, lo in least.items():
             if getattr(self, name) < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
-        if self.search_gamma <= 0:
-            raise ValueError(f"search_gamma must be positive, got {self.search_gamma}")
+        if min(self.search_gamma, self.finetune_lr) <= 0:
+            raise ValueError("search_gamma and finetune_lr must be positive, got "
+                             f"{self.search_gamma} and {self.finetune_lr}")
         if self.top_k < self.n_candidates:
             raise ValueError(
                 f"top_k ({self.top_k}) must be >= n_candidates ({self.n_candidates})"
@@ -236,14 +236,17 @@ def _train_supervised(net, ds: OfflineDataset, epochs: int, batch: int, rng: Rng
     return net
 
 
+EXPT_PARAM_RANGE = (0.1, 10.0)
+
+
 def expt_style_generate(
     ds: OfflineDataset, cfg: PipelineConfig, rng: RngState
 ) -> list[SyntheticTask]:
-    """Comparison generator: kernel params drawn log-uniform from a wide fixed
-    range, the offline inputs labeled with that GP's posterior mean, and no
-    evolution: each task is one trajectory, the n offline inputs sorted
+    """Comparison generator: kernel params drawn log-uniform from the wide
+    EXPT_PARAM_RANGE, the offline inputs labeled with that GP's posterior mean,
+    and no evolution: each task is one trajectory, the n offline inputs sorted
     ascending by label, with states (1, n, d) and labels (1, n)."""
-    lo, hi = cfg.expt_param_range
+    lo, hi = EXPT_PARAM_RANGE
     tasks = []
     mean = float(ds.z.mean())
     for i in range(cfg.sim.n_functions):
@@ -278,14 +281,11 @@ def stage_gen_tasks(
 
 
 def stage_meta_train(
-    dim: int, tasks: list[SyntheticTask], cfg: PipelineConfig, seed: int,
-    pretrain: bool = False,
+    dim: int, tasks: list[SyntheticTask], cfg: PipelineConfig, seed: int
 ) -> tuple[sg.SurrogateNet, TrainStats]:
-    """A fresh surrogate, meta-trained (or pretrained) on the tasks."""
+    """A fresh surrogate, meta-trained on the tasks (pretrained at inner_lr 0)."""
     net = _make_net(dim, cfg, RngState(seed).split(STREAM_NET))
-    variant = "pretrain" if pretrain else "meta"
-    rng = RngState(seed).split(STREAM_META)
-    return net, meta_train(net, tasks, cfg.meta, rng, variant=variant)
+    return net, meta_train(net, tasks, cfg.meta, RngState(seed).split(STREAM_META))
 
 
 def stage_finetune(net, std_ds: OfflineDataset, cfg: PipelineConfig, seed: int):
@@ -330,9 +330,10 @@ def run_method(
             finetune(net, std_ds, cfg.matchopt_epochs, baseline_rng, lr=0.001,
                      batch_size=cfg.batch_size, mode=cfg.meta.integral_mode)
     else:
+        if method == "optbias_pretrain":
+            cfg = replace(cfg, meta=replace(cfg.meta, inner_lr=0.0))
         tasks = stage_gen_tasks(std_ds, cfg, seed, random_gen=method == "optbias_random_gen")
-        net, _ = stage_meta_train(std_ds.dim, tasks, cfg, seed,
-                                  pretrain=method == "optbias_pretrain")
+        net, _ = stage_meta_train(std_ds.dim, tasks, cfg, seed)
         stage_finetune(net, std_ds, cfg, seed)
 
     final = stage_search(net, std_ds, cfg, seed, _search_bounds(b, scaler))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -43,31 +44,37 @@ def _parse_bool(raw: str) -> bool:
     return states[key]
 
 
+def _finite_float(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError("not a finite number")
+    return value
+
+
 # section -> key -> (default string, parser)
 _SCHEMA = {
     "sim4opt": {
         "n_functions": ("128", int),
         "evolve_steps": ("100", int),
-        "step_size": ("0.05", float),
-        "delta_frac": ("0.5", float),
+        "step_size": ("0.05", _finite_float),
+        "delta_frac": ("0.5", _finite_float),
         "evolution_mode": ("posterior_mean", str),
-        "ucb_beta": ("2.0", float),
+        "ucb_beta": ("2.0", _finite_float),
         "kernel": ("rbf", str),
-        "lengthscale": ("1.0", float),
-        "signal_variance": ("1.0", float),
-        "noise": ("0.01", float),
+        "lengthscale": ("1.0", _finite_float),
+        "signal_variance": ("1.0", _finite_float),
+        "noise": ("0.01", _finite_float),
         "fit_gp": ("true", _parse_bool),
     },
     "surrogate": {
         "hidden": ("512,128,32", lambda s: tuple(int(v) for v in s.split(","))),
-        "slope": ("0.01", float),
+        "slope": ("0.01", _finite_float),
         "norm": ("batch_stat", str),
     },
     "meta": {
         "epochs": ("50", int),
         "tasks_per_batch": ("8", int),
-        "inner_lr": ("0.1", float),
-        "outer_lr": ("0.001", float),
+        "inner_lr": ("0.1", _finite_float),
+        "outer_lr": ("0.001", _finite_float),
         "context_pairs": ("16", int),
         "target_pairs": ("64", int),
         "integral": ("quadrature", str),
@@ -75,12 +82,12 @@ _SCHEMA = {
     },
     "finetune": {
         "epochs": ("20", int),
-        "lr": ("0.01", float),
+        "lr": ("0.01", _finite_float),
         "batch": ("128", int),
     },
     "search": {
         "steps": ("300", int),
-        "gamma": ("0.001", float),
+        "gamma": ("0.001", _finite_float),
         "top_k": ("256", int),
         "n_candidates": ("128", int),
     },
@@ -88,7 +95,7 @@ _SCHEMA = {
         "oracles": ("sphere,ackley,shekel4", lambda s: tuple(s.split(","))),
         "dim": ("4", int),
         "n_full": ("8000", int),
-        "frac": ("0.01", float),
+        "frac": ("0.01", _finite_float),
         "methods": (
             "ga,matchopt,optbias,optbias_pretrain,optbias_random_gen",
             lambda s: tuple(s.split(",")),
@@ -211,9 +218,11 @@ def cmd_gen_tasks(cfg, args) -> int:
 
 
 def cmd_meta_train(cfg, args) -> int:
+    if args.pretrain:
+        cfg["meta"]["inner_lr"] = 0.0
     with _stage(cfg, args, "meta_train", "tasks") as (out, pcfg, std_ds):
         tasks = sim4opt.load_bundle(args.tasks)
-        net, stats = bench.stage_meta_train(std_ds.dim, tasks, pcfg, args.seed, args.pretrain)
+        net, stats = bench.stage_meta_train(std_ds.dim, tasks, pcfg, args.seed)
         sg.save_checkpoint(net, out / "meta.ckpt")
         stats.write_csv(out / "train_log.csv")
     print(f"wrote checkpoint {out / 'meta.ckpt'}")
@@ -320,8 +329,8 @@ def cmd_grad_error(cfg, args) -> int:
 
 
 _ABLATE_AXES = ("meta", "generator", "gp", "K")
-# [sim4opt] overrides per labeled optbias variant of the gp and K axes
-_ABLATE_VARIANTS = {
+# [sim4opt] overrides per labeled optbias run of the gp and K axes
+_ABLATE_OVERRIDES = {
     "gp": {
         "rbf": {},
         "matern": {"kernel": "matern52"},
@@ -343,9 +352,9 @@ def cmd_ablate(cfg, args) -> int:
         reports = _run_bench_grid(cfg, ("optbias", "optbias_pretrain"), oracles, seeds, jobs)
     elif axis == "generator":
         reports = _run_bench_grid(cfg, ("optbias", "optbias_random_gen"), oracles, seeds, jobs)
-    elif axis in _ABLATE_VARIANTS:
+    elif axis in _ABLATE_OVERRIDES:
         reports = []
-        for label, overrides in _ABLATE_VARIANTS[axis].items():
+        for label, overrides in _ABLATE_OVERRIDES[axis].items():
             vcfg = {**cfg, "sim4opt": {**cfg["sim4opt"], **overrides}}
             for r in _run_bench_grid(vcfg, ("optbias",), oracles, seeds, jobs):
                 reports.append(replace(r, method=f"optbias[{label}]"))
@@ -398,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--tasks", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pretrain", action="store_true", help="use the pretraining variant")
+    p.add_argument("--pretrain", action="store_true", help="pretrain: [meta] inner_lr = 0")
 
     p = sub.add_parser("finetune", help="fine-tune a checkpoint on offline data")
     p.add_argument("--data", required=True)

@@ -1,9 +1,10 @@
-"""Training phases over synthetic tasks: first-order meta-learning, the
-pretraining ablation variant, and fine-tuning on the real offline data.
+"""Training phases over synthetic tasks: first-order meta-learning and
+fine-tuning on the real offline data.
 
 The meta-gradient is first-order: the outer loss is evaluated at the fast
 weights phi' = phi - alpha * grad l_i(phi) and its gradient (taken at phi') is
-applied to phi directly, ignoring the Jacobian of the inner step.
+applied to phi directly, ignoring the Jacobian of the inner step. With
+inner_lr = 0 it is pooled pretraining, the optbias_pretrain ablation.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class MetaConfig:
         if min(self.epochs, self.tasks_per_batch, self.context_pairs, self.target_pairs) < 1:
             raise ValueError("all counts must be >= 1")
         if self.inner_lr < 0 or self.outer_lr <= 0:
-            raise ValueError("learning rates must be positive (inner may be 0 in tests)")
+            raise ValueError("learning rates must be positive (inner may be 0: pretraining)")
 
 
 @dataclass
@@ -59,26 +60,28 @@ def _task_batch(t: SyntheticTask, rng: RngState, count: int) -> PairBatch:
     return PairBatch(starts, ends, dz)
 
 
-def _refresh_norm_stats(net, batch: PairBatch):
-    # Track activation statistics from the pair endpoints; loss gradients flow
-    # through the frozen statistics, keeping second derivatives well-posed.
-    if net.arch.norm == sg.NORM_BATCH:
-        sg.forward(net, np.concatenate([batch.starts, batch.ends], axis=0), train=True)
-
-
 def inner_adapt(net, task: SyntheticTask, cfg: MetaConfig, rng: RngState):
     """One fast-weight SGD step on a context batch; never changes the params.
 
     The norm running statistics are first refreshed from the context batch.
     Returns (fast_params, pre_loss, post_loss, post_grad) where post_loss and
     its gradient are evaluated at the fast weights on a fresh target batch.
+    With inner_lr = 0 the context loss is not computed: the fast weights are
+    net.params and pre_loss is post_loss.
     """
     context = _task_batch(task, rng, cfg.context_pairs)
-    _refresh_norm_stats(net, context)
-    pre_loss, grad = match_loss(net, context, cfg.integral_mode)
-    fast = net.params - cfg.inner_lr * grad
+    if net.arch.norm == sg.NORM_BATCH:
+        # Track activation statistics from the pair endpoints; loss gradients
+        # flow through the frozen statistics, keeping second derivatives well-posed.
+        sg.forward(net, np.concatenate([context.starts, context.ends], axis=0), train=True)
+    fast = net.params
+    if cfg.inner_lr:
+        pre_loss, grad = match_loss(net, context, cfg.integral_mode)
+        fast = fast - cfg.inner_lr * grad
     target = _task_batch(task, rng, cfg.target_pairs)
     post_loss, post_grad = match_loss(net, target, cfg.integral_mode, params=fast)
+    if not cfg.inner_lr:
+        pre_loss = post_loss
     return fast, pre_loss, post_loss, post_grad
 
 
@@ -88,10 +91,10 @@ def _sample_task_indices(n_tasks: int, k: int, rng: RngState) -> np.ndarray:
     return np.sort(rng.choice(n_tasks, k))
 
 
-def meta_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState, epoch=0,
-               stats: TrainStats | None = None):
+def meta_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState):
     """One pass: per sampled task, inner-adapt then accumulate the outer
-    (first-order) gradient at the fast weights; one Adam step at the outer lr."""
+    (first-order) gradient at the fast weights; one Adam step at the outer lr.
+    Returns the mean (pre_loss, post_loss) over the sampled tasks."""
     if not tasks:
         raise EmptyTask("no tasks")
     idx = _sample_task_indices(len(tasks), cfg.tasks_per_batch, rng)
@@ -103,45 +106,15 @@ def meta_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState, ep
         pres.append(pre_loss)
         posts.append(post_loss)
     sg.apply_update(net, total_grad / len(idx), cfg.outer_lr, opt)
-    outer = float(np.mean(posts))
-    if stats is not None:
-        stats.append(epoch, float(np.mean(pres)), outer)
-    return outer
+    return float(np.mean(pres)), float(np.mean(posts))
 
 
-def pretrain_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState, epoch=0,
-                   stats: TrainStats | None = None):
-    """Ablation variant: pooled mini-batch gradient matching, no inner loop.
-
-    Draws the same per-task context/target batches as meta_epoch so that with
-    inner_lr = 0 both produce identical updates for identical rng streams.
-    """
-    if not tasks:
-        raise EmptyTask("no tasks")
-    idx = _sample_task_indices(len(tasks), cfg.tasks_per_batch, rng)
-    total_grad = np.zeros_like(net.params)
-    losses = []
-    for i in idx:
-        task = tasks[i]
-        _refresh_norm_stats(net, _task_batch(task, rng, cfg.context_pairs))
-        target = _task_batch(task, rng, cfg.target_pairs)
-        loss, grad = match_loss(net, target, cfg.integral_mode)
-        total_grad += grad
-        losses.append(loss)
-    sg.apply_update(net, total_grad / len(idx), cfg.outer_lr, opt)
-    mean_loss = float(np.mean(losses))
-    if stats is not None:
-        stats.append(epoch, mean_loss, mean_loss)
-    return mean_loss
-
-
-def meta_train(net, tasks, cfg: MetaConfig, rng: RngState, variant: str = "meta") -> TrainStats:
-    """Run cfg.epochs of meta_epoch (variant='meta') or pretrain_epoch."""
-    step = meta_epoch if variant == "meta" else pretrain_epoch
+def meta_train(net, tasks, cfg: MetaConfig, rng: RngState) -> TrainStats:
+    """Run cfg.epochs of meta_epoch under one Adam state."""
     opt = sg.AdamState.for_net(net)
     stats = TrainStats()
     for epoch in range(1, cfg.epochs + 1):
-        step(net, tasks, cfg, rng, opt, epoch=epoch, stats=stats)
+        stats.append(epoch, *meta_epoch(net, tasks, cfg, rng, opt))
     return stats
 
 

@@ -111,6 +111,3 @@ class RngState:
 
     def choice(self, n: int, k: int, replace: bool = False) -> np.ndarray:
         return self._gen.choice(n, size=k, replace=replace)
-
-    def shuffle(self, x: np.ndarray) -> None:
-        self._gen.shuffle(x)

@@ -69,8 +69,8 @@ class Sim4OptConfig:
     def __post_init__(self):
         if self.n_functions < 1 or self.evolve_steps < 1:
             raise ValueError("n_functions and evolve_steps must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if self.step_size <= 0 or self.ucb_beta < 0:
+            raise ValueError("step_size must be positive and ucb_beta non-negative")
         if not (0.0 <= self.delta_frac < 1.0):
             raise InvalidDelta(f"delta_frac must be in [0, 1), got {self.delta_frac}")
         if self.evolution_mode not in (MODE_MEAN, MODE_UCB):

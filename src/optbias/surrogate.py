@@ -179,11 +179,10 @@ def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarra
     if dL.shape[0] != cache["X"].shape[0]:
         raise ShapeMismatch("dL_dpred length does not match the cached batch")
     grad = np.zeros_like(p)
-    g = SurrogateNet(net.arch, grad, net.norm_stats)
 
     h = cache["h_last"]
-    g.view("Wh")[:] = h.T @ dL[:, None]
-    g.view("bh")[:] = dL.sum()
+    net.view("Wh", grad)[:] = h.T @ dL[:, None]
+    net.view("bh", grad)[:] = dL.sum()
     dh = dL[:, None] * net.view("Wh", p).ravel()[None, :]
 
     for i in reversed(range(len(net.arch.hidden))):
@@ -191,8 +190,8 @@ def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarra
         du = dh * lay["mask"]
         if net.arch.norm == NORM_BATCH:
             xhat, std = lay["xhat"], lay["std"]
-            g.view(f"g{i}")[:] = (du * xhat).sum(axis=0)
-            g.view(f"s{i}")[:] = du.sum(axis=0)
+            net.view(f"g{i}", grad)[:] = (du * xhat).sum(axis=0)
+            net.view(f"s{i}", grad)[:] = du.sum(axis=0)
             gam = net.view(f"g{i}", p)
             if cache["train"]:
                 dxhat = du * gam
@@ -206,8 +205,8 @@ def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarra
         else:
             ds = du
         a = lay["a"]
-        g.view(f"W{i}")[:] = a.T @ ds
-        g.view(f"b{i}")[:] = ds.sum(axis=0)
+        net.view(f"W{i}", grad)[:] = a.T @ ds
+        net.view(f"b{i}", grad)[:] = ds.sum(axis=0)
         if i:
             dh = ds @ net.view(f"W{i}", p).T
     return grad
@@ -275,9 +274,8 @@ def backward_params_jvp(net: SurrogateNet, cache, djvp) -> np.ndarray:
     p = cache["params"]
     djvp = np.asarray(djvp, dtype=np.float64).ravel()
     grad = np.zeros_like(p)
-    g = SurrogateNet(net.arch, grad, net.norm_stats)
 
-    g.view("Wh")[:] = cache["th_last"].T @ djvp[:, None]
+    net.view("Wh", grad)[:] = cache["th_last"].T @ djvp[:, None]
     dth = djvp[:, None] * net.view("Wh", p).ravel()[None, :]
 
     for i in reversed(range(len(net.arch.hidden))):
@@ -285,11 +283,11 @@ def backward_params_jvp(net: SurrogateNet, cache, djvp) -> np.ndarray:
         dtu = dth * lay["mask"]
         if net.arch.norm == NORM_BATCH:
             std = lay["std"]
-            g.view(f"g{i}")[:] = (dtu * lay["ts"] / std).sum(axis=0)
+            net.view(f"g{i}", grad)[:] = (dtu * lay["ts"] / std).sum(axis=0)
             dts = dtu * net.view(f"g{i}", p) / std
         else:
             dts = dtu
-        g.view(f"W{i}")[:] = lay["ta"].T @ dts
+        net.view(f"W{i}", grad)[:] = lay["ta"].T @ dts
         if i:
             dth = dts @ net.view(f"W{i}", p).T
     return grad

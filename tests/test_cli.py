@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optbias import cli, gp
+from optbias import bench, cli, gp
 from optbias.dataio import OfflineDataset, save_dataset
 from optbias.errors import ConfigError
 from optbias.numerics import RngState
@@ -132,6 +133,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("surrogate", "norm = bogus"),
     ("bench", "batch_size = 0"),
     ("bench", "matchopt_epochs = -1"),
+    ("finetune", "lr = nan"),
+    ("finetune", "lr = -0.5"),
+    ("search", "gamma = nan"),
+    ("meta", "outer_lr = inf"),
+    ("sim4opt", "lengthscale = nan"),
+    ("sim4opt", "step_size = inf"),
+    ("sim4opt", "ucb_beta = -3"),
+    ("bench", "frac = nan"),
 ])
 def test_invalid_config_values_exit_2(tmp_path, data_csv, capsys, section, body):
     p = tmp_path / "bad.ini"
@@ -140,6 +149,40 @@ def test_invalid_config_values_exit_2(tmp_path, data_csv, capsys, section, body)
                    "gen-tasks", "--data", str(data_csv)])
     assert rc == 2
     assert "config" in capsys.readouterr().err
+
+
+def test_schema_defaults_match_pipeline_defaults():
+    assert cli.build_pipeline_config(cli.parse_config(None)) == bench.PipelineConfig()
+
+
+_FLOAT_KEYS = [(section, key) for section, keys in cli.parse_config(None).items()
+               for key, value in keys.items() if isinstance(value, float)]
+
+
+def _floats(obj):
+    """Every float field of a (nested) config dataclass."""
+    if isinstance(obj, float):
+        return [obj]
+    if dataclasses.is_dataclass(obj):
+        return [v for f in dataclasses.fields(obj) for v in _floats(getattr(obj, f.name))]
+    return []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FLOAT_KEYS), st.floats(allow_nan=True, allow_infinity=True))
+def test_config_floats_are_finite_or_rejected(key, value):
+    section, name = key
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "run.ini"
+        p.write_text(f"[{section}]\n{name} = {value!r}\n")
+        try:
+            cfg = cli.parse_config(str(p))
+            pcfg = cli.build_pipeline_config(cfg)
+        except ConfigError:
+            return
+    assert all(np.isfinite(v) for keys in cfg.values() for v in keys.values()
+               if isinstance(v, float))
+    assert all(np.isfinite(v) for v in _floats(pcfg))
 
 
 def test_fit_gp_parses_strictly(tmp_path):
@@ -185,6 +228,25 @@ def test_meta_train_writes_identical_bytes(tmp_path, data_csv, cfg_file):
                                 "--tasks", str(tmp_path / "tasks.json"), "--seed", "3"]) == 0
         blobs.append([(out / f).read_bytes() for f in ("train_log.csv", "meta.ckpt")])
     assert blobs[0] == blobs[1]
+
+
+def test_pretrain_manifest_replays_without_the_flag(tmp_path, data_csv, cfg_file):
+    base = ["--config", str(cfg_file), "--output-dir"]
+    assert cli.main(base + [str(tmp_path), "gen-tasks", "--data", str(data_csv)]) == 0
+    stage = ["meta-train", "--data", str(data_csv), "--tasks", str(tmp_path / "tasks.json"),
+             "--seed", "3"]
+    assert cli.main(base + [str(tmp_path / "a")] + stage + ["--pretrain"]) == 0
+    config = json.loads((tmp_path / "a" / "meta_train_manifest.json").read_text())["config"]
+    assert config["meta"]["inner_lr"] == 0.0
+    replay = tmp_path / "replay.ini"
+    replay.write_text("".join(
+        f"[{section}]\n" + "".join(
+            f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+            for k, v in keys.items())
+        for section, keys in config.items()))
+    assert cli.main(["--config", str(replay), "--output-dir", str(tmp_path / "b")] + stage) == 0
+    for name in ("meta.ckpt", "train_log.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_v1_bundle_exit_3(tmp_path, data_csv, cfg_file, capsys):
@@ -325,7 +387,6 @@ def test_pipeline_composability(tmp_path, cfg_file):
     # the chained gen-tasks -> meta-train -> finetune -> search replays
     # bench.run_method: mapped back through the scaler, its designs score
     # exactly as run_method's candidates
-    from optbias import bench
     from optbias.dataio import load_dataset, normalized_score, standardize
 
     cfg = cli.parse_config(str(cfg_file))

@@ -4,7 +4,9 @@ import pytest
 from optbias import metatrain as mt
 from optbias import sim4opt, surrogate as sg
 from optbias.dataio import OfflineDataset, standardize
-from optbias.matchloss import EXACT, IntegralMode, TooFewPoints, match_loss, offline_pairs
+from optbias.matchloss import (
+    EXACT, IntegralMode, PairBatch, TooFewPoints, match_loss, offline_pairs,
+)
 from optbias.numerics import RngState
 from conftest import small_net, toy_dataset
 
@@ -59,7 +61,6 @@ def test_inner_adapt_descent_direction():
         task = tasks[i % len(tasks)]
         batch_rng = RngState(500 + i)
         starts, ends, dz = sim4opt.build_pairs(task, batch_rng, 16)
-        from optbias.matchloss import PairBatch
         batch = PairBatch(starts, ends, dz)
         pre, grad = match_loss(net, batch, EXACT)
         fast = net.params - 1e-3 * grad
@@ -69,16 +70,44 @@ def test_inner_adapt_descent_direction():
     assert wins >= 18
 
 
-def test_meta_epoch_alpha_zero_matches_pretrain():
-    tasks = make_tasks(2, seed=9)
-    cfg = mt.MetaConfig(inner_lr=0.0, tasks_per_batch=2, integral_mode=EXACT)
+def _pooled_pretrain(net, tasks, cfg, rng):
+    """Reference pretraining loop: per sampled task, refresh the norm
+    statistics on a context batch and take the matching-loss gradient of a
+    target batch at the params; one Adam step on the mean gradient per epoch.
+    Returns the per-epoch mean target losses."""
+    opt = sg.AdamState.for_net(net)
+    losses = []
+    for _ in range(cfg.epochs):
+        if cfg.tasks_per_batch >= len(tasks):
+            idx = np.arange(len(tasks))
+        else:
+            idx = np.sort(rng.choice(len(tasks), cfg.tasks_per_batch))
+        total_grad = np.zeros_like(net.params)
+        epoch_losses = []
+        for i in idx:
+            starts, ends, _ = sim4opt.build_pairs(tasks[i], rng, cfg.context_pairs)
+            sg.forward(net, np.concatenate([starts, ends], axis=0), train=True)
+            target = PairBatch(*sim4opt.build_pairs(tasks[i], rng, cfg.target_pairs))
+            loss, grad = match_loss(net, target, cfg.integral_mode)
+            total_grad += grad
+            epoch_losses.append(loss)
+        sg.apply_update(net, total_grad / len(idx), cfg.outer_lr, opt)
+        losses.append(float(np.mean(epoch_losses)))
+    return losses
+
+
+def test_meta_train_alpha_zero_is_pooled_pretraining():
+    tasks = make_tasks(3, seed=9)
+    cfg = mt.MetaConfig(epochs=4, inner_lr=0.0, tasks_per_batch=2)
     a = small_net(seed=3)
     b = a.copy()
-    opt_a = sg.AdamState.for_net(a)
-    opt_b = sg.AdamState.for_net(b)
-    mt.meta_epoch(a, tasks, cfg, RngState(11), opt_a)
-    mt.pretrain_epoch(b, tasks, cfg, RngState(11), opt_b)
+    stats = mt.meta_train(a, tasks, cfg, RngState(11))
+    want = _pooled_pretrain(b, tasks, cfg, RngState(11))
     assert np.array_equal(a.params, b.params)
+    for (ma, va), (mb, vb) in zip(a.norm_stats, b.norm_stats):
+        assert np.array_equal(ma, mb) and np.array_equal(va, vb)
+    assert stats.epoch == [1, 2, 3, 4]
+    assert stats.pre_loss == want and stats.post_loss == want
 
 
 def test_meta_epoch_empty_tasks():
@@ -113,9 +142,9 @@ def test_meta_train_reduces_outer_loss():
 
 def test_pretrain_loss_decreases():
     tasks = make_tasks(4, seed=23)
-    cfg = mt.MetaConfig(epochs=40, tasks_per_batch=4, integral_mode=EXACT)
+    cfg = mt.MetaConfig(epochs=40, tasks_per_batch=4, inner_lr=0.0, integral_mode=EXACT)
     net = small_net(dim=2, hidden=(16, 8), seed=8)
-    stats = mt.meta_train(net, tasks, cfg, RngState(31), variant="pretrain")
+    stats = mt.meta_train(net, tasks, cfg, RngState(31))
     first = np.median(stats.post_loss[:10])
     last = np.median(stats.post_loss[-10:])
     assert last < first
