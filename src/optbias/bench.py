@@ -65,15 +65,12 @@ class Oracle:
     def __init__(self, name: str, dim: int):
         if name not in ORACLES:
             raise ConfigError(f"unknown oracle {name!r}")
-        if name == "shekel4" and dim != 4:
-            raise ConfigError("shekel4 is defined in 4 dimensions")
+        if dim < 1 or name == "shekel4" and dim != 4:
+            raise ConfigError(f"{name} cannot take dim {dim}: need dim >= 1, and 4 for shekel4")
         self.name = name
         self.dim = dim
         self.calls = 0
-        if name == "sphere":
-            self.domain = np.tile([-5.12, 5.12], (dim, 1))
-            self.known_max = (np.zeros(dim), 0.0)
-        elif name == "rastrigin":
+        if name in ("sphere", "rastrigin"):
             self.domain = np.tile([-5.12, 5.12], (dim, 1))
             self.known_max = (np.zeros(dim), 0.0)
         elif name == "ackley":
@@ -376,16 +373,12 @@ def grad_error_curve(
             sub = OfflineDataset(X_train[idx], z_train[idx])
             std_ds, scaler = standardize(sub)
             net = _make_net(o.dim, cfg, rng.split(1000 + fi))
-            _train_supervised(
-                net, std_ds, cfg.supervised_epochs, cfg.batch_size, rng
-            )
+            _train_supervised(net, std_ds, cfg.supervised_epochs, cfg.batch_size, rng)
             g_hat = sg.input_grad_batch(net, scaler.transform_x(X_test))
             # map the gradient back to raw input/output units
             g_hat = g_hat * (scaler.z_std / scaler.std)[None, :]
             errs[f].append(float(np.mean(np.linalg.norm(g_hat - g_true, axis=1))))
-    return [
-        (f, float(np.mean(errs[f])), float(np.std(errs[f]))) for f in fractions
-    ]
+    return [(f, float(np.mean(errs[f])), float(np.std(errs[f]))) for f in fractions]
 
 
 def pseudo_value_distribution(

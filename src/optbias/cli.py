@@ -50,6 +50,10 @@ def _finite_float(raw: str) -> float:
     return value
 
 
+def _float_list(raw: str) -> list[float]:
+    return [float(v) for v in raw.split(",")]
+
+
 # section -> key -> (default string, parser)
 _SCHEMA = {
     "sim4opt": {
@@ -138,12 +142,8 @@ def parse_config(path: str | None) -> dict:
 
 
 def _config_snapshot(cfg: dict) -> dict:
-    out = {}
-    for section, keys in cfg.items():
-        out[section] = {
-            k: list(v) if isinstance(v, tuple) else v for k, v in keys.items()
-        }
-    return out
+    return {section: {k: list(v) if isinstance(v, tuple) else v for k, v in keys.items()}
+            for section, keys in cfg.items()}
 
 
 def build_pipeline_config(cfg: dict) -> bench.PipelineConfig:
@@ -247,13 +247,24 @@ def cmd_search(cfg, args) -> int:
     return 0
 
 
+def _check_grid(cfg: dict) -> None:
+    """Reject a bad [bench] section or pipeline config before any cell starts."""
+    b = cfg["bench"]
+    if unknown := sorted(set(b["methods"]) - set(bench.METHODS)):
+        raise ConfigError(f"unknown methods {unknown}; choose from {bench.METHODS}")
+    for name in b["oracles"]:
+        bench.Oracle(name, b["dim"])
+    if not 0.0 < b["frac"] <= 1.0 or b["n_full"] * b["frac"] < 2:
+        raise ConfigError(f"need 0 < frac <= 1 and n_full*frac >= 2, got frac "
+                          f"{b['frac']} and n_full {b['n_full']}")
+    build_pipeline_config(cfg)
+
+
 def _bench_cell(payload):
     cfg, method, oracle_name, dim, n_full, frac, seed = payload
-    pcfg = build_pipeline_config(cfg)
-    oracle = bench.Oracle(oracle_name, dim)
-    instance = bench.make_benchmark(oracle, RngState(1_000_003), n_full, frac)
-    report = bench.run_method(method, instance, pcfg, seed)
-    return report
+    instance = bench.make_benchmark(bench.Oracle(oracle_name, dim), RngState(1_000_003),
+                                    n_full, frac)
+    return bench.run_method(method, instance, build_pipeline_config(cfg), seed)
 
 
 def _run_bench_grid(cfg, methods, oracles, seeds, jobs):
@@ -298,6 +309,7 @@ def _score_rows(reports):
 
 
 def cmd_bench(cfg, args) -> int:
+    _check_grid(cfg)
     out = _outdir(cfg, args.output_dir)
     seeds = list(cfg["run"]["seeds"])
     jobs = args.jobs or cfg["run"]["jobs"]
@@ -315,9 +327,8 @@ def cmd_grad_error(cfg, args) -> int:
     out = _outdir(cfg, args.output_dir)
     pcfg = build_pipeline_config(cfg)
     oracle = bench.Oracle(args.oracle, 4 if args.oracle == "shekel4" else cfg["bench"]["dim"])
-    fractions = [float(v) for v in args.fractions.split(",")]
     seeds = list(cfg["run"]["seeds"])
-    rows = bench.grad_error_curve(oracle, fractions, pcfg, seeds)
+    rows = bench.grad_error_curve(oracle, args.fractions, pcfg, seeds)
     path = out / "grad_error.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("fraction,mean_grad_error,std\n")
@@ -343,6 +354,7 @@ _ABLATE_OVERRIDES = {
 
 
 def cmd_ablate(cfg, args) -> int:
+    _check_grid(cfg)
     out = _outdir(cfg, args.output_dir)
     seeds = list(cfg["run"]["seeds"])
     jobs = args.jobs or cfg["run"]["jobs"]
@@ -424,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grad-error", help="gradient-error vs data-fraction diagnostic")
     p.add_argument("--oracle", default="shekel4")
-    p.add_argument("--fractions", default="0.01,0.1,0.5,1.0")
+    p.add_argument("--fractions", default="0.01,0.1,0.5,1.0", type=_float_list)
 
     p = sub.add_parser("ablate", help="run one ablation axis")
     p.add_argument("--axis", required=True, choices=_ABLATE_AXES)

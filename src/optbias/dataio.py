@@ -137,14 +137,10 @@ def standardize(ds: OfflineDataset) -> tuple[OfflineDataset, Scaler]:
     """Zero-mean unit-variance X and z (population std; constant dims -> std 1)."""
     if ds.n < 2:
         raise EmptyDataset(f"need at least 2 rows to standardize, got {ds.n}")
-    mean = ds.X.mean(axis=0)
     std = ds.X.std(axis=0)
-    std = np.where(std > 0.0, std, 1.0)
-    z_mean = float(ds.z.mean())
     z_std = float(ds.z.std())
-    if z_std <= 0.0:
-        z_std = 1.0
-    scaler = Scaler(mean, std, z_mean, z_std)
+    scaler = Scaler(ds.X.mean(axis=0), np.where(std > 0.0, std, 1.0),
+                    float(ds.z.mean()), z_std if z_std > 0.0 else 1.0)
     return scaler.transform(ds), scaler
 
 
@@ -152,8 +148,7 @@ def select_bottom_fraction(ds: OfflineDataset, frac: float) -> OfflineDataset:
     """The ceil(frac*n) rows with smallest z (minimum 2), stable in original order."""
     if not (0.0 < frac <= 1.0):
         raise InvalidFraction(f"frac must be in (0, 1], got {frac}")
-    k = max(2, int(np.ceil(frac * ds.n)))
-    k = min(k, ds.n)
+    k = min(max(2, int(np.ceil(frac * ds.n))), ds.n)
     order = np.argsort(ds.z, kind="stable")[:k]
     keep = np.sort(order)
     return OfflineDataset(ds.X[keep], ds.z[keep], ds.names)

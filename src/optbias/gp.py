@@ -255,14 +255,6 @@ def default_grid(
     base: KernelParams, factors=(0.25, 0.5, 1.0, 2.0, 4.0)
 ) -> list[KernelParams]:
     """Small log-spaced grid of (lengthscale, signal variance) around base."""
-    grid = []
-    for fl in factors:
-        for fv in factors:
-            grid.append(
-                replace(
-                    base,
-                    lengthscale=base.lengthscale * fl,
-                    signal_variance=base.signal_variance * fv,
-                )
-            )
-    return grid
+    return [replace(base, lengthscale=base.lengthscale * fl,
+                    signal_variance=base.signal_variance * fv)
+            for fl in factors for fv in factors]

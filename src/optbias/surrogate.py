@@ -5,11 +5,13 @@ to one scalar. Parameters (weights, biases, norm scale/shift) live in a single
 flat float64 vector so fast-weight vectors for meta-learning are just arrays.
 
 The net holds no train/eval state. `forward(..., train=True)` normalizes with
-batch statistics and moves the running statistics with momentum 0.9; every
-other call normalizes with the frozen running statistics. Input gradients and
-the forward-over-reverse pass (`forward_jvp`, `backward_params_jvp`) always use
-the frozen statistics, where the norm layer is a fixed affine map and second
-derivatives are well-posed.
+batch statistics and moves the running statistics with momentum 0.9. Every
+other pass (`forward`, `input_grad_batch`, `forward_jvp` and the reverse passes
+over their caches) uses the frozen running statistics, under which Linear ->
+Norm is one affine map: it is folded once per call into W' = W·γ/σ and
+b' = (b - μ)·γ/σ + β, so both norm choices run the same code, and the reverse
+passes map gradients back to W, b, γ, β by the chain rule. Under the frozen
+statistics second derivatives are well-posed.
 """
 
 from __future__ import annotations
@@ -130,12 +132,42 @@ def _check_override(net: SurrogateNet, params_override):
     return p
 
 
+def _fold(net: SurrogateNet, p: np.ndarray) -> list[tuple]:
+    """Each hidden layer's Linear -> Norm under the frozen statistics as one
+    affine map: (W', b', σ, b - μ) with σ = sqrt(var + EPS), W' = W·γ/σ and
+    b' = (b - μ)·γ/σ + β. Without a norm layer it is (W, b, None, None)."""
+    folded = []
+    for i in range(len(net.arch.hidden)):
+        W, b = net.view(f"W{i}", p), net.view(f"b{i}", p)
+        if net.arch.norm == NORM_NONE:
+            folded.append((W, b, None, None))
+            continue
+        std = np.sqrt(net.norm_stats[i][1] + EPS)
+        centered = b - net.norm_stats[i][0]
+        scale = net.view(f"g{i}", p) / std
+        folded.append((W * scale, centered * scale + net.view(f"s{i}", p), std, centered))
+    return folded
+
+
+def _unfold_grad(net: SurrogateNet, grad, p, i: int, fold, dWf, dbf=0.0) -> None:
+    """Write layer i's entries of grad from the gradient w.r.t. its folded
+    (W', b') by the chain rule; dbf=0 when the pass does not depend on b'."""
+    _, _, std, centered = fold
+    scale = 1.0 if std is None else net.view(f"g{i}", p) / std
+    net.view(f"W{i}", grad)[:] = dWf * scale
+    net.view(f"b{i}", grad)[:] = dbf * scale
+    if std is not None:
+        net.view(f"s{i}", grad)[:] = dbf
+        dg = (net.view(f"W{i}", p) * dWf).sum(axis=0) + centered * dbf
+        net.view(f"g{i}", grad)[:] = dg / std
+
+
 def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False):
     """Predictions (b,) plus the activation cache for backward_params.
 
     With train=True the norm layers use batch statistics and move the running
-    statistics; otherwise they use the running statistics and the net is not
-    mutated.
+    statistics; otherwise each layer is its folded frozen-statistics affine map
+    and the net is not mutated.
     """
     p = _check_override(net, params_override)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -143,32 +175,30 @@ def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False)
         raise DimensionMismatch("empty batch")
     if X.shape[1] != net.arch.input_dim:
         raise DimensionMismatch(f"input dim {X.shape[1]} != {net.arch.input_dim}")
-    h = X
-    layers = []
+    folded = None if train and net.arch.norm == NORM_BATCH else _fold(net, p)
+    h, layers = X, []
     for i in range(len(net.arch.hidden)):
-        a = h
-        s = a @ net.view(f"W{i}", p) + net.view(f"b{i}", p)
-        if net.arch.norm == NORM_BATCH:
-            if train:
-                mu = s.mean(axis=0)
-                var = s.var(axis=0)
-                rm, rv = net.norm_stats[i]
-                rm *= RUNNING_MOMENTUM
-                rm += (1.0 - RUNNING_MOMENTUM) * mu
-                rv *= RUNNING_MOMENTUM
-                rv += (1.0 - RUNNING_MOMENTUM) * var
-            else:
-                mu, var = net.norm_stats[i]
+        lay = {"a": h}
+        if folded is None:
+            s = h @ net.view(f"W{i}", p) + net.view(f"b{i}", p)
+            mu, var = s.mean(axis=0), s.var(axis=0)
+            for running, batch in zip(net.norm_stats[i], (mu, var)):
+                running *= RUNNING_MOMENTUM
+                running += (1.0 - RUNNING_MOMENTUM) * batch
             std = np.sqrt(var + EPS)
             xhat = (s - mu) / std
             u = net.view(f"g{i}", p) * xhat + net.view(f"s{i}", p)
+            lay.update(s=s, std=std, xhat=xhat)
         else:
-            std, xhat, u = None, None, s
-        mask = np.where(u > 0.0, 1.0, net.arch.slope)
-        h = u * mask
-        layers.append({"a": a, "s": s, "std": std, "xhat": xhat, "mask": mask})
+            u = h @ folded[i][0]
+            u += folded[i][1]
+        lay["mask"] = np.where(u > 0.0, 1.0, net.arch.slope)
+        u *= lay["mask"]
+        layers.append(lay)
+        h = u
     pred = (h @ net.view("Wh", p) + net.view("bh", p)).ravel()
-    cache = {"params": p, "train": train, "layers": layers, "h_last": h, "X": X}
+    cache = {"params": p, "train": train, "folded": folded, "layers": layers,
+             "h_last": h, "X": X}
     return pred, cache
 
 
@@ -185,30 +215,24 @@ def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarra
     net.view("bh", grad)[:] = dL.sum()
     dh = dL[:, None] * net.view("Wh", p).ravel()[None, :]
 
+    folded = cache["folded"]
     for i in reversed(range(len(net.arch.hidden))):
         lay = cache["layers"][i]
         du = dh * lay["mask"]
-        if net.arch.norm == NORM_BATCH:
+        if folded is None:  # batch statistics
             xhat, std = lay["xhat"], lay["std"]
             net.view(f"g{i}", grad)[:] = (du * xhat).sum(axis=0)
             net.view(f"s{i}", grad)[:] = du.sum(axis=0)
-            gam = net.view(f"g{i}", p)
-            if cache["train"]:
-                dxhat = du * gam
-                ds = (
-                    dxhat
-                    - dxhat.mean(axis=0)
-                    - xhat * (dxhat * xhat).mean(axis=0)
-                ) / std
-            else:
-                ds = du * gam / std
+            dxhat = du * net.view(f"g{i}", p)
+            ds = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+            net.view(f"W{i}", grad)[:] = lay["a"].T @ ds
+            net.view(f"b{i}", grad)[:] = ds.sum(axis=0)
+            W = net.view(f"W{i}", p)
         else:
-            ds = du
-        a = lay["a"]
-        net.view(f"W{i}", grad)[:] = a.T @ ds
-        net.view(f"b{i}", grad)[:] = ds.sum(axis=0)
+            _unfold_grad(net, grad, p, i, folded[i], lay["a"].T @ du, du.sum(axis=0))
+            ds, W = du, folded[i][0]
         if i:
-            dh = ds @ net.view(f"W{i}", p).T
+            dh = ds @ W.T
     return grad
 
 
@@ -222,12 +246,8 @@ def input_grad_batch(net: SurrogateNet, X: np.ndarray, params_override=None) -> 
     p = _check_override(net, params_override)
     _, cache = forward(net, X, params_override=p)
     dh = np.broadcast_to(net.view("Wh", p).ravel()[None, :], cache["h_last"].shape)
-    for i in reversed(range(len(net.arch.hidden))):
-        lay = cache["layers"][i]
-        ds = dh * lay["mask"]
-        if net.arch.norm == NORM_BATCH:
-            ds = ds * net.view(f"g{i}", p) / lay["std"]
-        dh = ds @ net.view(f"W{i}", p).T
+    for lay, fold in zip(reversed(cache["layers"]), reversed(cache["folded"])):
+        dh = (dh * lay["mask"]) @ fold[0].T
     return dh
 
 
@@ -239,28 +259,22 @@ def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray, params_override
     p = _check_override(net, params_override)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     V = np.atleast_2d(np.asarray(V, dtype=np.float64))
-    if V.shape != X.shape:
-        raise ShapeMismatch(f"tangent shape {V.shape} != input shape {X.shape}")
-    h, th = X, V
-    layers = []
-    for i in range(len(net.arch.hidden)):
-        W = net.view(f"W{i}", p)
-        s = h @ W + net.view(f"b{i}", p)
-        ts = th @ W
-        if net.arch.norm == NORM_BATCH:
-            mu, var = net.norm_stats[i]
-            std = np.sqrt(var + EPS)
-            xhat = (s - mu) / std
-            gam = net.view(f"g{i}", p)
-            u = gam * xhat + net.view(f"s{i}", p)
-            tu = gam * ts / std
-        else:
-            std, u, tu = None, s, ts
+    if V.shape != X.shape or X.shape[1] != net.arch.input_dim:
+        raise ShapeMismatch(f"input {X.shape} and tangent {V.shape} need one shape "
+                            f"with {net.arch.input_dim} columns")
+    folded = _fold(net, p)
+    h, th, layers = X, V, []
+    for Wf, bf, _, _ in folded:
+        u = h @ Wf
+        u += bf
+        tu = th @ Wf
         mask = np.where(u > 0.0, 1.0, net.arch.slope)
-        layers.append({"ta": th, "ts": ts, "std": std, "mask": mask})
-        h, th = u * mask, tu * mask
+        u *= mask
+        tu *= mask
+        layers.append({"a": th, "mask": mask})
+        h, th = u, tu
     jvp = (th @ net.view("Wh", p)).ravel()
-    cache = {"params": p, "layers": layers, "th_last": th}
+    cache = {"params": p, "folded": folded, "layers": layers, "th_last": th}
     return jvp, cache
 
 
@@ -279,17 +293,11 @@ def backward_params_jvp(net: SurrogateNet, cache, djvp) -> np.ndarray:
     dth = djvp[:, None] * net.view("Wh", p).ravel()[None, :]
 
     for i in reversed(range(len(net.arch.hidden))):
-        lay = cache["layers"][i]
-        dtu = dth * lay["mask"]
-        if net.arch.norm == NORM_BATCH:
-            std = lay["std"]
-            net.view(f"g{i}", grad)[:] = (dtu * lay["ts"] / std).sum(axis=0)
-            dts = dtu * net.view(f"g{i}", p) / std
-        else:
-            dts = dtu
-        net.view(f"W{i}", grad)[:] = lay["ta"].T @ dts
+        lay, fold = cache["layers"][i], cache["folded"][i]
+        dth *= lay["mask"]
+        _unfold_grad(net, grad, p, i, fold, lay["a"].T @ dth)
         if i:
-            dth = dts @ net.view(f"W{i}", p).T
+            dth = dth @ fold[0].T
     return grad
 
 

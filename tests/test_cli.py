@@ -151,6 +151,45 @@ def test_invalid_config_values_exit_2(tmp_path, data_csv, capsys, section, body)
     assert "config" in capsys.readouterr().err
 
 
+def _with_bench_key(line: str) -> str:
+    """SMALL_CFG with one of its [bench] keys set as in ``line``."""
+    key = line.split(" = ")[0]
+    return "".join(line + "\n" if ln.startswith(f"{key} = ") else ln
+                   for ln in SMALL_CFG.splitlines(keepends=True))
+
+
+@pytest.mark.parametrize("line", [
+    "frac = 1.5",
+    "dim = 0",
+    "frac = 0.001",  # n_full * frac < 2
+    "oracles = sphere,bogus",
+    "oracles = shekel4",  # with dim = 2
+    "methods = ga,bogus",
+])
+@pytest.mark.parametrize("command", [["bench"], ["ablate", "--axis", "meta"]])
+def test_bad_bench_section_exits_2_before_any_cell(tmp_path, capsys, monkeypatch, line,
+                                                   command):
+    monkeypatch.setattr(bench, "run_method", lambda *a: pytest.fail("a cell ran"))
+    p = tmp_path / "bad.ini"
+    p.write_text(_with_bench_key(line))
+    rc = cli.main(["--config", str(p), "--output-dir", str(tmp_path / "out")] + command)
+    assert rc == 2
+    assert "config" in capsys.readouterr().err
+
+
+def test_grad_error_bad_dim_or_fractions_exit_2(tmp_path, capsys):
+    p = tmp_path / "bad.ini"
+    p.write_text(_with_bench_key("dim = 0"))
+    out = ["--output-dir", str(tmp_path / "out")]
+    assert cli.main(["--config", str(p)] + out + ["grad-error", "--oracle", "sphere"]) == 2
+    assert "config" in capsys.readouterr().err
+    for fractions in ("0.5,nan", "1.5"):
+        assert cli.main(out + ["grad-error", "--oracle", "sphere", "--fractions", fractions]) == 2
+    with pytest.raises(SystemExit) as exc:  # argparse rejects a non-number
+        cli.main(out + ["grad-error", "--fractions", "abc"])
+    assert exc.value.code == 2
+
+
 def test_schema_defaults_match_pipeline_defaults():
     assert cli.build_pipeline_config(cli.parse_config(None)) == bench.PipelineConfig()
 

@@ -183,6 +183,109 @@ def test_backward_params_jvp_vs_finite_differences():
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) <= 1e-4
 
 
+def test_forward_jvp_rejects_a_wrong_input_dim():
+    net = small_net(dim=2)
+    with pytest.raises(sg.ShapeMismatch):
+        sg.forward_jvp(net, np.ones((3, 3)), np.ones((3, 3)))
+    with pytest.raises(sg.ShapeMismatch):
+        sg.forward_jvp(net, np.ones((3, 2)), np.ones((4, 2)))
+
+
+def _unfolded_reference(net, p, X, V, dpred, djvp):
+    """Textbook frozen-statistics passes that normalize (s - mu) / sigma * gamma
+    + beta layer by layer, never folding the norm into the weights. Returns
+    (pred, jvp, input grads, backward_params grad, backward_params_jvp grad)."""
+    batch = net.arch.norm == sg.NORM_BATCH
+    h, th, saved = X, V, []
+    for i in range(len(net.arch.hidden)):
+        W = net.view(f"W{i}", p)
+        s, ts = h @ W + net.view(f"b{i}", p), th @ W
+        if batch:
+            mu, var = net.norm_stats[i]
+            std, gam = np.sqrt(var + sg.EPS), net.view(f"g{i}", p)
+            xhat = (s - mu) / std
+            u, tu = xhat * gam + net.view(f"s{i}", p), ts / std * gam
+        else:
+            std, gam, xhat, u, tu = 1.0, 1.0, None, s, ts
+        mask = np.where(u > 0.0, 1.0, net.arch.slope)
+        saved.append((h, th, ts, xhat, std, gam, mask))
+        h, th = u * mask, tu * mask
+    Wh = net.view("Wh", p).ravel()
+    pred, jvp = h @ Wh + net.view("bh", p), th @ Wh
+    grad, grad_jvp = np.zeros_like(p), np.zeros_like(p)
+    net.view("Wh", grad)[:] = (h.T @ dpred)[:, None]
+    net.view("bh", grad)[:] = dpred.sum()
+    net.view("Wh", grad_jvp)[:] = (th.T @ djvp)[:, None]
+    dh, dth, dx = np.outer(dpred, Wh), np.outer(djvp, Wh), np.tile(Wh, (X.shape[0], 1))
+    for i in reversed(range(len(net.arch.hidden))):
+        a, ta, ts, xhat, std, gam, mask = saved[i]
+        du, dtu = dh * mask, dth * mask
+        if batch:
+            net.view(f"g{i}", grad)[:] = (du * xhat).sum(axis=0)
+            net.view(f"s{i}", grad)[:] = du.sum(axis=0)
+            net.view(f"g{i}", grad_jvp)[:] = (dtu * ts / std).sum(axis=0)
+        ds, dts, dxs = du * gam / std, dtu * gam / std, dx * mask * gam / std
+        net.view(f"W{i}", grad)[:] = a.T @ ds
+        net.view(f"b{i}", grad)[:] = ds.sum(axis=0)
+        net.view(f"W{i}", grad_jvp)[:] = ta.T @ dts
+        W = net.view(f"W{i}", p)
+        dh, dth, dx = ds @ W.T, dts @ W.T, dxs @ W.T
+    return pred, jvp, dx, grad, grad_jvp
+
+
+def _frozen_net(norm):
+    """A net with scales, shifts and running statistics far from (1, 0, 0, 1),
+    plus inputs, tangents, upstream gradients and a distinct override."""
+    net = small_net(dim=3, hidden=(7, 5), norm=norm, seed=41)
+    r = RngState(42)
+    net.params = net.params + 0.3 * r.normal(size=net.params.shape)
+    net.norm_stats = [(r.normal(size=m.shape), r.uniform(0.2, 3.0, size=v.shape))
+                      for m, v in net.norm_stats]
+    X, V = r.normal(size=(9, 3)), r.normal(size=(9, 3))
+    dpred, djvp = r.normal(size=9), r.normal(size=9)
+    override = net.params + 0.2 * r.normal(size=net.params.shape)
+    return net, X, V, dpred, djvp, override
+
+
+@pytest.mark.parametrize("norm", [sg.NORM_BATCH, sg.NORM_NONE])
+def test_frozen_statistics_passes_match_unfolded_reference(norm):
+    net, X, V, dpred, djvp, override = _frozen_net(norm)
+    for p in (None, override):
+        want = _unfolded_reference(net, net.params if p is None else p, X, V, dpred, djvp)
+        pred, cache = sg.forward(net, X, params_override=p)
+        jvp, jvp_cache = sg.forward_jvp(net, X, V, params_override=p)
+        got = (pred, jvp, sg.input_grad_batch(net, X, p),
+               sg.backward_params(net, cache, dpred),
+               sg.backward_params_jvp(net, jvp_cache, djvp))
+        names = ("forward", "forward_jvp", "input_grad_batch", "backward_params",
+                 "backward_params_jvp")
+        for name, g, w in zip(names, got, want):
+            assert g.shape == w.shape, name
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (name, p is None)
+
+
+@pytest.mark.parametrize("norm", [sg.NORM_BATCH, sg.NORM_NONE])
+def test_frozen_statistics_passes_mutate_nothing(norm):
+    net, X, V, dpred, djvp, override = _frozen_net(norm)
+    inputs = [X, V, dpred, djvp, override, net.params] + [a for st in net.norm_stats for a in st]
+    before = [a.tobytes() for a in inputs]
+    for p in (None, override):
+        _, cache = sg.forward(net, X, params_override=p)
+        _, jvp_cache = sg.forward_jvp(net, X, V, params_override=p)
+        calls = {
+            "forward": lambda: sg.forward(net, X, params_override=p)[0],
+            "forward_jvp": lambda: sg.forward_jvp(net, X, V, params_override=p)[0],
+            "input_grad_batch": lambda: sg.input_grad_batch(net, X, p),
+            # the same cache twice: a reverse pass must not write into it
+            "backward_params": lambda: sg.backward_params(net, cache, dpred),
+            "backward_params_jvp": lambda: sg.backward_params_jvp(net, jvp_cache, djvp),
+        }
+        for name, call in calls.items():
+            first = call().tobytes()
+            assert call().tobytes() == first, name
+            assert [a.tobytes() for a in inputs] == before, name
+
+
 def test_adam_one_step_oracle():
     p = np.array([1.0, -2.0])
     g = np.array([0.5, 0.5])
