@@ -247,8 +247,10 @@ def cmd_search(cfg, args) -> int:
     return 0
 
 
-def _check_grid(cfg: dict) -> None:
-    """Reject a bad [bench] section or pipeline config before any cell starts."""
+def _check_grid(cfg: dict, jobs: int) -> None:
+    """Reject a bad [bench] section, pipeline config or job count before any cell starts."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     b = cfg["bench"]
     if unknown := sorted(set(b["methods"]) - set(bench.METHODS)):
         raise ConfigError(f"unknown methods {unknown}; choose from {bench.METHODS}")
@@ -309,10 +311,10 @@ def _score_rows(reports):
 
 
 def cmd_bench(cfg, args) -> int:
-    _check_grid(cfg)
+    jobs = cfg["run"]["jobs"] if args.jobs is None else args.jobs
+    _check_grid(cfg, jobs)
     out = _outdir(cfg, args.output_dir)
     seeds = list(cfg["run"]["seeds"])
-    jobs = args.jobs or cfg["run"]["jobs"]
     reports = _run_bench_grid(
         cfg, cfg["bench"]["methods"], cfg["bench"]["oracles"], seeds, jobs
     )
@@ -354,10 +356,10 @@ _ABLATE_OVERRIDES = {
 
 
 def cmd_ablate(cfg, args) -> int:
-    _check_grid(cfg)
+    jobs = cfg["run"]["jobs"] if args.jobs is None else args.jobs
+    _check_grid(cfg, jobs)
     out = _outdir(cfg, args.output_dir)
     seeds = list(cfg["run"]["seeds"])
-    jobs = args.jobs or cfg["run"]["jobs"]
     oracles = cfg["bench"]["oracles"]
     axis = args.axis
     if axis == "meta":

@@ -93,11 +93,11 @@ class SurrogateNet:
         self.params = params
         self.norm_stats = norm_stats  # list of (running_mean, running_var) per layer
         self._offsets = {name: (shape, off) for name, shape, off in arch.layout()}
+        self._blocks = {k: (o, o + int(np.prod(s)), s) for k, s, o in arch.layout()}
 
     def view(self, name: str, params: np.ndarray | None = None):
-        shape, off = self._offsets[name]
-        src = self.params if params is None else params
-        return src[off : off + int(np.prod(shape))].reshape(shape)
+        start, end, shape = self._blocks[name]
+        return (self.params if params is None else params)[start:end].reshape(shape)
 
     def copy(self) -> "SurrogateNet":
         stats = [(m.copy(), v.copy()) for m, v in self.norm_stats]
@@ -162,6 +162,11 @@ def _unfold_grad(net: SurrogateNet, grad, p, i: int, fold, dWf, dbf=0.0) -> None
         net.view(f"g{i}", grad)[:] = dg / std
 
 
+def _leaky_mask(u: np.ndarray, slope: float) -> np.ndarray:
+    """np.where(u > 0.0, 1.0, slope) bit for bit, by a cheaper lookup in [slope, 1.0]."""
+    return np.array([slope, 1.0]).take((u > 0.0).view(np.uint8))
+
+
 def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False):
     """Predictions (b,) plus the activation cache for backward_params.
 
@@ -192,7 +197,7 @@ def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False)
         else:
             u = h @ folded[i][0]
             u += folded[i][1]
-        lay["mask"] = np.where(u > 0.0, 1.0, net.arch.slope)
+        lay["mask"] = _leaky_mask(u, net.arch.slope)
         u *= lay["mask"]
         layers.append(lay)
         h = u
@@ -268,7 +273,7 @@ def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray, params_override
         u = h @ Wf
         u += bf
         tu = th @ Wf
-        mask = np.where(u > 0.0, 1.0, net.arch.slope)
+        mask = _leaky_mask(u, net.arch.slope)
         u *= mask
         tu *= mask
         layers.append({"a": th, "mask": mask})
@@ -320,8 +325,10 @@ def adam_step(params: np.ndarray, grad: np.ndarray, lr: float, state: AdamState)
     if params.shape != grad.shape:
         raise ShapeMismatch(f"{params.shape} vs {grad.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += ((1.0 - state.beta2) * grad) * grad
     mhat = state.m / (1.0 - state.beta1**state.t)
     vhat = state.v / (1.0 - state.beta2**state.t)
     return params - lr * mhat / (np.sqrt(vhat) + state.eps)

@@ -177,6 +177,24 @@ def test_bad_bench_section_exits_2_before_any_cell(tmp_path, capsys, monkeypatch
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("run_jobs, flag", [
+    ("", ["--jobs", "0"]),  # used to fall back to [run] jobs
+    ("", ["--jobs", "-2"]),  # used to run serially
+    ("jobs = 0\n", []),
+    ("jobs = -3\n", []),
+    ("jobs = 0\n", ["--jobs", "-1"]),
+])
+@pytest.mark.parametrize("command", [["bench"], ["ablate", "--axis", "meta"]])
+def test_jobs_below_one_exits_2_before_any_cell(tmp_path, capsys, monkeypatch, run_jobs, flag,
+                                                command):
+    monkeypatch.setattr(bench, "run_method", lambda *a: pytest.fail("a cell ran"))
+    p = tmp_path / "bad.ini"
+    p.write_text(SMALL_CFG + run_jobs)
+    rc = cli.main(["--config", str(p), "--output-dir", str(tmp_path / "out")] + command + flag)
+    assert rc == 2
+    assert "config: jobs must be at least 1" in capsys.readouterr().err
+
+
 def test_grad_error_bad_dim_or_fractions_exit_2(tmp_path, capsys):
     p = tmp_path / "bad.ini"
     p.write_text(_with_bench_key("dim = 0"))
