@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
-from . import bench, gp, sim4opt, surrogate as sg
+from . import bench, sim4opt, surrogate as sg
 from .dataio import (
     content_hash,
     load_dataset,
@@ -29,11 +29,9 @@ from .dataio import (
     write_score_csv,
 )
 from .errors import ConfigError, DataError, NumericalError, OptBiasError
-from .matchloss import IntegralMode
-from .metatrain import MetaConfig
 from .numerics import RngState
 from .search import write_designs_csv
-from .sim4opt import InvalidDelta, Sim4OptConfig
+from .sim4opt import InvalidDelta
 
 
 def _parse_bool(raw: str) -> bool:
@@ -54,90 +52,88 @@ def _float_list(raw: str) -> list[float]:
     return [float(v) for v in raw.split(",")]
 
 
-# section -> key -> (default string, parser)
-_SCHEMA = {
+def _parse(raw: str, default):
+    """raw as a value of default's type; a tuple is split on commas."""
+    if isinstance(default, tuple):
+        return tuple(_parse(v, default[0]) for v in raw.split(","))
+    if isinstance(default, bool):
+        return _parse_bool(raw)
+    return _finite_float(raw) if isinstance(default, float) else type(default)(raw)
+
+
+# section -> key -> the PipelineConfig field that the key sets, as a dotted
+# path. The key's default is that field's default, and _parse reads its value
+# as the default's type.
+_FIELDS = {
     "sim4opt": {
-        "n_functions": ("128", int),
-        "evolve_steps": ("100", int),
-        "step_size": ("0.05", _finite_float),
-        "delta_frac": ("0.5", _finite_float),
-        "evolution_mode": ("posterior_mean", str),
-        "ucb_beta": ("2.0", _finite_float),
-        "kernel": ("rbf", str),
-        "lengthscale": ("1.0", _finite_float),
-        "signal_variance": ("1.0", _finite_float),
-        "noise": ("0.01", _finite_float),
-        "fit_gp": ("true", _parse_bool),
+        "n_functions": "sim.n_functions",
+        "evolve_steps": "sim.evolve_steps",
+        "step_size": "sim.step_size",
+        "delta_frac": "sim.delta_frac",
+        "evolution_mode": "sim.evolution_mode",
+        "ucb_beta": "sim.ucb_beta",
+        "kernel": "sim.base_params.family",
+        "lengthscale": "sim.base_params.lengthscale",
+        "signal_variance": "sim.base_params.signal_variance",
+        "noise": "sim.base_params.noise_variance",
+        "fit_gp": "fit_gp",
     },
-    "surrogate": {
-        "hidden": ("512,128,32", lambda s: tuple(int(v) for v in s.split(","))),
-        "slope": ("0.01", _finite_float),
-        "norm": ("batch_stat", str),
-    },
+    "surrogate": {"hidden": "hidden", "slope": "slope", "norm": "norm"},
     "meta": {
-        "epochs": ("50", int),
-        "tasks_per_batch": ("8", int),
-        "inner_lr": ("0.1", _finite_float),
-        "outer_lr": ("0.001", _finite_float),
-        "context_pairs": ("16", int),
-        "target_pairs": ("64", int),
-        "integral": ("quadrature", str),
-        "quadrature_nodes": ("4", int),
+        "epochs": "meta.epochs",
+        "tasks_per_batch": "meta.tasks_per_batch",
+        "inner_lr": "meta.inner_lr",
+        "outer_lr": "meta.outer_lr",
+        "context_pairs": "meta.context_pairs",
+        "target_pairs": "meta.target_pairs",
+        "integral": "meta.integral_mode.kind",
+        "quadrature_nodes": "meta.integral_mode.nodes",
     },
-    "finetune": {
-        "epochs": ("20", int),
-        "lr": ("0.01", _finite_float),
-        "batch": ("128", int),
-    },
-    "search": {
-        "steps": ("300", int),
-        "gamma": ("0.001", _finite_float),
-        "top_k": ("256", int),
-        "n_candidates": ("128", int),
-    },
-    "bench": {
-        "oracles": ("sphere,ackley,shekel4", lambda s: tuple(s.split(","))),
-        "dim": ("4", int),
-        "n_full": ("8000", int),
-        "frac": ("0.01", _finite_float),
-        "methods": (
-            "ga,matchopt,optbias,optbias_pretrain,optbias_random_gen",
-            lambda s: tuple(s.split(",")),
-        ),
-        "supervised_epochs": ("200", int),
-        "matchopt_epochs": ("200", int),
-        "batch_size": ("128", int),
-    },
-    "run": {
-        "seeds": ("0,1,2,3", lambda s: tuple(int(v) for v in s.split(","))),
-        "output_dir": ("runs", str),
-        "jobs": ("1", int),
-    },
+    "finetune": {"epochs": "finetune_epochs", "lr": "finetune_lr", "batch": "finetune_batch"},
+    "search": {"steps": "search_steps", "gamma": "search_gamma", "top_k": "top_k",
+               "n_candidates": "n_candidates"},
+    "bench": {"supervised_epochs": "supervised_epochs", "matchopt_epochs": "matchopt_epochs",
+              "batch_size": "batch_size"},
+}
+# The keys that lay out the bench grid, which no pipeline stage reads, and their defaults.
+_GRID = {
+    "bench": {"oracles": ("sphere", "ackley", "shekel4"), "dim": 4, "n_full": 8000,
+              "frac": 0.01, "methods": bench.METHODS},
+    "run": {"seeds": (0, 1, 2, 3), "output_dir": "runs", "jobs": 1},
 }
 
 
+def _field(obj, path: str):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
 def parse_config(path: str | None) -> dict:
-    """Resolve a config file against the schema; unknown keys are rejected."""
+    """Resolve a config file against the key tables; unknown keys are rejected."""
     parser = configparser.ConfigParser()
     if path is not None:
         read = parser.read(path, encoding="utf-8")
         if not read:
             raise DataError(f"cannot read config file {path}")
-    resolved: dict[str, dict] = {}
+    root = bench.PipelineConfig()
+    resolved = {s: {k: _field(root, p) for k, p in keys.items()} for s, keys in _FIELDS.items()}
+    for section, defaults in _GRID.items():
+        resolved[section] = {**defaults, **resolved.get(section, {})}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in resolved:
             raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
+            if key not in resolved[section]:
                 raise ConfigError(f"unknown key {section}.{key}")
-    for section, keys in _SCHEMA.items():
-        resolved[section] = {}
-        for key, (default, cast) in keys.items():
-            raw = parser.get(section, key, fallback=default)
-            try:
-                resolved[section][key] = cast(raw)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from None
+    for section, keys in resolved.items():
+        for key, default in keys.items():
+            if parser.has_option(section, key):
+                raw = parser.get(section, key)
+                try:
+                    keys[key] = _parse(raw, default)
+                except (ValueError, TypeError) as exc:
+                    raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from None
     return resolved
 
 
@@ -146,48 +142,32 @@ def _config_snapshot(cfg: dict) -> dict:
             for section, keys in cfg.items()}
 
 
+def _with_fields(default, values: dict):
+    """default with values set; a nested dict builds its nested dataclass first, once."""
+    return replace(default, **{k: _with_fields(getattr(default, k), v)
+                               if isinstance(v, dict) else v for k, v in values.items()})
+
+
 def build_pipeline_config(cfg: dict) -> bench.PipelineConfig:
     """Build the typed pipeline config; invalid values raise ConfigError."""
-    sim, meta = cfg["sim4opt"], cfg["meta"]
+    values: dict = {}
+    for section, keys in _FIELDS.items():
+        for key, path in keys.items():
+            *parents, name = path.split(".")
+            node = values
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[name] = cfg[section][key]
     try:
-        return bench.PipelineConfig(
-            sim=Sim4OptConfig(
-                n_functions=sim["n_functions"],
-                evolve_steps=sim["evolve_steps"],
-                step_size=sim["step_size"],
-                delta_frac=sim["delta_frac"],
-                evolution_mode=sim["evolution_mode"],
-                ucb_beta=sim["ucb_beta"],
-                base_params=gp.KernelParams(
-                    sim["kernel"], sim["lengthscale"], sim["signal_variance"], sim["noise"]
-                ),
-            ),
-            meta=MetaConfig(
-                epochs=meta["epochs"],
-                tasks_per_batch=meta["tasks_per_batch"],
-                inner_lr=meta["inner_lr"],
-                outer_lr=meta["outer_lr"],
-                context_pairs=meta["context_pairs"],
-                target_pairs=meta["target_pairs"],
-                integral_mode=IntegralMode(meta["integral"], meta["quadrature_nodes"]),
-            ),
-            hidden=cfg["surrogate"]["hidden"],
-            slope=cfg["surrogate"]["slope"],
-            norm=cfg["surrogate"]["norm"],
-            fit_gp=sim["fit_gp"],
-            finetune_epochs=cfg["finetune"]["epochs"],
-            finetune_lr=cfg["finetune"]["lr"],
-            finetune_batch=cfg["finetune"]["batch"],
-            search_steps=cfg["search"]["steps"],
-            search_gamma=cfg["search"]["gamma"],
-            top_k=cfg["search"]["top_k"],
-            n_candidates=cfg["search"]["n_candidates"],
-            supervised_epochs=cfg["bench"]["supervised_epochs"],
-            matchopt_epochs=cfg["bench"]["matchopt_epochs"],
-            batch_size=cfg["bench"]["batch_size"],
-        )
+        return _with_fields(bench.PipelineConfig(), values)
     except (ValueError, InvalidDelta, sg.InvalidArchitecture) as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _seeds(seeds) -> list[int]:
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {list(seeds)}")
+    return list(seeds)
 
 
 def _outdir(cfg: dict, override: str | None) -> Path:
@@ -201,12 +181,13 @@ def _stage(cfg: dict, args, name: str, *inputs: str):
     """The output dir, typed config and standardized --data of one pipeline
     stage. When the stage's body succeeds, <name>_manifest.json records the
     config, the seed and the hashes of --data and of the named file args."""
+    seeds = _seeds([args.seed])
     out = _outdir(cfg, args.output_dir)
     pcfg = build_pipeline_config(cfg)
     std_ds, _ = standardize(load_dataset(args.data))
     yield out, pcfg, std_ds
     hashes = {k: content_hash(Path(getattr(args, k)).read_bytes()) for k in ("data",) + inputs}
-    write_manifest(out / f"{name}_manifest.json", _config_snapshot(cfg), [args.seed], hashes)
+    write_manifest(out / f"{name}_manifest.json", _config_snapshot(cfg), seeds, hashes)
 
 
 def cmd_gen_tasks(cfg, args) -> int:
@@ -248,10 +229,15 @@ def cmd_search(cfg, args) -> int:
 
 
 def _check_grid(cfg: dict, jobs: int) -> None:
-    """Reject a bad [bench] section, pipeline config or job count before any cell starts."""
+    """Reject a bad [bench] section, seed list, pipeline config or job count
+    before any cell starts."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     b = cfg["bench"]
+    for key, values in (("methods", b["methods"]), ("oracles", b["oracles"]),
+                        ("seeds", _seeds(cfg["run"]["seeds"]))):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"repeated entry in {key}: {list(values)}")
     if unknown := sorted(set(b["methods"]) - set(bench.METHODS)):
         raise ConfigError(f"unknown methods {unknown}; choose from {bench.METHODS}")
     for name in b["oracles"]:
@@ -263,19 +249,16 @@ def _check_grid(cfg: dict, jobs: int) -> None:
 
 
 def _bench_cell(payload):
-    cfg, method, oracle_name, dim, n_full, frac, seed = payload
-    instance = bench.make_benchmark(bench.Oracle(oracle_name, dim), RngState(1_000_003),
-                                    n_full, frac)
+    cfg, method, oracle_name, seed = payload
+    b = cfg["bench"]
+    instance = bench.make_benchmark(bench.Oracle(oracle_name, b["dim"]), RngState(1_000_003),
+                                    b["n_full"], b["frac"])
     return bench.run_method(method, instance, build_pipeline_config(cfg), seed)
 
 
-def _run_bench_grid(cfg, methods, oracles, seeds, jobs):
-    payloads = [
-        (cfg, m, o, cfg["bench"]["dim"], cfg["bench"]["n_full"], cfg["bench"]["frac"], s)
-        for m in methods
-        for o in oracles
-        for s in seeds
-    ]
+def _run_bench_grid(cfg, methods, jobs):
+    payloads = [(cfg, m, o, s) for m in methods for o in cfg["bench"]["oracles"]
+                for s in cfg["run"]["seeds"]]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_bench_cell, payloads))
@@ -314,22 +297,19 @@ def cmd_bench(cfg, args) -> int:
     jobs = cfg["run"]["jobs"] if args.jobs is None else args.jobs
     _check_grid(cfg, jobs)
     out = _outdir(cfg, args.output_dir)
-    seeds = list(cfg["run"]["seeds"])
-    reports = _run_bench_grid(
-        cfg, cfg["bench"]["methods"], cfg["bench"]["oracles"], seeds, jobs
-    )
+    reports = _run_bench_grid(cfg, cfg["bench"]["methods"], jobs)
     write_score_csv(out / "scores.csv", _score_rows(reports))
     _write_summary_csv(out / "summary.csv", bench.summarize(reports))
-    write_manifest(out / "bench_manifest.json", _config_snapshot(cfg), seeds, {})
+    write_manifest(out / "bench_manifest.json", _config_snapshot(cfg), cfg["run"]["seeds"], {})
     print(f"wrote {out / 'scores.csv'} and {out / 'summary.csv'}")
     return 0
 
 
 def cmd_grad_error(cfg, args) -> int:
+    seeds = _seeds(cfg["run"]["seeds"])
     out = _outdir(cfg, args.output_dir)
     pcfg = build_pipeline_config(cfg)
     oracle = bench.Oracle(args.oracle, 4 if args.oracle == "shekel4" else cfg["bench"]["dim"])
-    seeds = list(cfg["run"]["seeds"])
     rows = bench.grad_error_curve(oracle, args.fractions, pcfg, seeds)
     path = out / "grad_error.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -359,24 +339,23 @@ def cmd_ablate(cfg, args) -> int:
     jobs = cfg["run"]["jobs"] if args.jobs is None else args.jobs
     _check_grid(cfg, jobs)
     out = _outdir(cfg, args.output_dir)
-    seeds = list(cfg["run"]["seeds"])
-    oracles = cfg["bench"]["oracles"]
     axis = args.axis
     if axis == "meta":
-        reports = _run_bench_grid(cfg, ("optbias", "optbias_pretrain"), oracles, seeds, jobs)
+        reports = _run_bench_grid(cfg, ("optbias", "optbias_pretrain"), jobs)
     elif axis == "generator":
-        reports = _run_bench_grid(cfg, ("optbias", "optbias_random_gen"), oracles, seeds, jobs)
+        reports = _run_bench_grid(cfg, ("optbias", "optbias_random_gen"), jobs)
     elif axis in _ABLATE_OVERRIDES:
         reports = []
         for label, overrides in _ABLATE_OVERRIDES[axis].items():
             vcfg = {**cfg, "sim4opt": {**cfg["sim4opt"], **overrides}}
-            for r in _run_bench_grid(vcfg, ("optbias",), oracles, seeds, jobs):
+            for r in _run_bench_grid(vcfg, ("optbias",), jobs):
                 reports.append(replace(r, method=f"optbias[{label}]"))
     else:
         raise ConfigError(f"unknown ablation axis {axis!r}; choose from {_ABLATE_AXES}")
     write_score_csv(out / f"ablate_{axis}.csv", _score_rows(reports))
     _write_summary_csv(out / f"ablate_{axis}_summary.csv", bench.summarize(reports))
-    write_manifest(out / f"ablate_{axis}_manifest.json", _config_snapshot(cfg), seeds, {})
+    write_manifest(out / f"ablate_{axis}_manifest.json", _config_snapshot(cfg),
+                   cfg["run"]["seeds"], {})
     print(f"wrote {out / f'ablate_{axis}.csv'}")
     return 0
 

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -152,7 +153,7 @@ def test_invalid_config_values_exit_2(tmp_path, data_csv, capsys, section, body)
 
 
 def _with_bench_key(line: str) -> str:
-    """SMALL_CFG with one of its [bench] keys set as in ``line``."""
+    """SMALL_CFG with one of its [bench] or [run] keys set as in ``line``."""
     key = line.split(" = ")[0]
     return "".join(line + "\n" if ln.startswith(f"{key} = ") else ln
                    for ln in SMALL_CFG.splitlines(keepends=True))
@@ -165,6 +166,10 @@ def _with_bench_key(line: str) -> str:
     "oracles = sphere,bogus",
     "oracles = shekel4",  # with dim = 2
     "methods = ga,bogus",
+    "methods = ga,ga",
+    "oracles = sphere,sphere",
+    "seeds = 0,0",
+    "seeds = 1,-1",
 ])
 @pytest.mark.parametrize("command", [["bench"], ["ablate", "--axis", "meta"]])
 def test_bad_bench_section_exits_2_before_any_cell(tmp_path, capsys, monkeypatch, line,
@@ -203,13 +208,81 @@ def test_grad_error_bad_dim_or_fractions_exit_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
     for fractions in ("0.5,nan", "1.5"):
         assert cli.main(out + ["grad-error", "--oracle", "sphere", "--fractions", fractions]) == 2
+    p.write_text(_with_bench_key("seeds = -1"))
+    assert cli.main(["--config", str(p)] + out + ["grad-error", "--oracle", "sphere"]) == 2
+    assert "config: seeds must be non-negative" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:  # argparse rejects a non-number
         cli.main(out + ["grad-error", "--fractions", "abc"])
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["gen-tasks"],
+    ["meta-train", "--tasks", "tasks.json"],
+    ["meta-train", "--tasks", "tasks.json", "--pretrain"],
+    ["finetune", "--checkpoint", "meta.ckpt"],
+    ["search", "--checkpoint", "finetuned.ckpt"],
+])
+def test_negative_seed_exits_2_before_the_stage(tmp_path, data_csv, capsys, monkeypatch,
+                                                command):
+    for stage in ("stage_gen_tasks", "stage_meta_train", "stage_finetune", "stage_search"):
+        monkeypatch.setattr(bench, stage, lambda *a: pytest.fail("a stage ran"))
+    rc = cli.main(["--output-dir", str(tmp_path / "out"), command[0], "--data", str(data_csv),
+                   "--seed", "-1"] + command[1:])
+    assert rc == 2
+    assert "config: seeds must be non-negative, got [-1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_schema_defaults_match_pipeline_defaults():
     assert cli.build_pipeline_config(cli.parse_config(None)) == bench.PipelineConfig()
+
+
+def _leaf_paths(obj, prefix=""):
+    """The dotted path of every field of a (nested) config dataclass that is
+    not itself a dataclass."""
+    if not dataclasses.is_dataclass(obj):
+        return [prefix]
+    return [p for f in dataclasses.fields(obj)
+            for p in _leaf_paths(getattr(obj, f.name), f"{prefix}.{f.name}".lstrip("."))]
+
+
+def test_every_pipeline_field_is_set_by_exactly_one_key():
+    # the kernel mean is fit per task from the data, never configured
+    paths = [path for keys in cli._FIELDS.values() for path in keys.values()]
+    leaves = set(_leaf_paths(bench.PipelineConfig())) - {"sim.base_params.mean"}
+    assert sorted(paths) == sorted(leaves)
+    assert sum(len(keys) for keys in cli.parse_config(None).values()) == 40
+
+
+def _as_ini(config: dict) -> str:
+    """A manifest's config snapshot written back as an INI file."""
+    return "".join(
+        f"[{section}]\n" + "".join(
+            f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+            for k, v in keys.items())
+        for section, keys in config.items())
+
+
+@pytest.mark.parametrize("text", [None, SMALL_CFG])
+def test_config_snapshot_replays_every_key(tmp_path, text):
+    p = tmp_path / "run.ini"
+    if text is not None:
+        p.write_text(text)
+    cfg = cli.parse_config(None if text is None else str(p))
+    snapshot = json.loads(json.dumps(cli._config_snapshot(cfg)))  # as a manifest stores it
+    p.write_text(_as_ini(snapshot))
+    assert cli.parse_config(str(p)) == cfg
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [example] = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    p = tmp_path / "readme.ini"
+    p.write_text(example)
+    cfg = cli.parse_config(str(p))
+    cli.build_pipeline_config(cfg)
+    cli._check_grid(cfg, cfg["run"]["jobs"])
 
 
 _FLOAT_KEYS = [(section, key) for section, keys in cli.parse_config(None).items()
@@ -296,11 +369,7 @@ def test_pretrain_manifest_replays_without_the_flag(tmp_path, data_csv, cfg_file
     config = json.loads((tmp_path / "a" / "meta_train_manifest.json").read_text())["config"]
     assert config["meta"]["inner_lr"] == 0.0
     replay = tmp_path / "replay.ini"
-    replay.write_text("".join(
-        f"[{section}]\n" + "".join(
-            f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
-            for k, v in keys.items())
-        for section, keys in config.items()))
+    replay.write_text(_as_ini(config))
     assert cli.main(["--config", str(replay), "--output-dir", str(tmp_path / "b")] + stage) == 0
     for name in ("meta.ckpt", "train_log.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
