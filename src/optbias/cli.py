@@ -129,9 +129,10 @@ def parse_config(path: str | None) -> dict:
     for section, keys in resolved.items():
         for key, default in keys.items():
             if parser.has_option(section, key):
-                raw = parser.get(section, key)
                 try:
-                    keys[key] = _parse(raw, default)
+                    keys[key] = _parse(raw := parser.get(section, key), default)
+                except configparser.InterpolationError as exc:
+                    raise ConfigError(f"{section}.{key}: {exc}") from None
                 except (ValueError, TypeError) as exc:
                     raise ConfigError(f"{section}.{key}: cannot parse {raw!r} ({exc})") from None
     return resolved
@@ -186,7 +187,7 @@ def _stage(cfg: dict, args, name: str, *inputs: str):
     pcfg = build_pipeline_config(cfg)
     std_ds, _ = standardize(load_dataset(args.data))
     yield out, pcfg, std_ds
-    hashes = {k: content_hash(Path(getattr(args, k)).read_bytes()) for k in ("data",) + inputs}
+    hashes = {k: content_hash(getattr(args, k)) for k in ("data",) + inputs}
     write_manifest(out / f"{name}_manifest.json", _config_snapshot(cfg), seeds, hashes)
 
 
@@ -316,7 +317,8 @@ def cmd_grad_error(cfg, args) -> int:
         fh.write("fraction,mean_grad_error,std\n")
         for f, mean, std in rows:
             fh.write(f"{f!r},{mean!r},{std!r}\n")
-    write_manifest(out / "grad_error_manifest.json", _config_snapshot(cfg), seeds, {})
+    write_manifest(out / "grad_error_manifest.json", _config_snapshot(cfg), seeds, {},
+                   {"oracle": args.oracle, "fractions": args.fractions})
     print(f"wrote {path}")
     return 0
 
@@ -364,7 +366,9 @@ def cmd_inspect(cfg, args) -> int:
     path = Path(args.file)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    if path.suffix == ".ckpt" or path.read_bytes()[:4] == sg.CHECKPOINT_MAGIC:
+    with open(path, "rb") as fh:
+        magic = fh.read(len(sg.CHECKPOINT_MAGIC))
+    if path.suffix == ".ckpt" or magic == sg.CHECKPOINT_MAGIC:
         net = sg.load_checkpoint(path)
         print(f"surrogate checkpoint: {path}")
         print(f"  arch: input_dim={net.arch.input_dim} hidden={list(net.arch.hidden)} "

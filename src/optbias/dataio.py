@@ -177,13 +177,17 @@ def _fmt(v):
     return repr(float(v)) if isinstance(v, (float, np.floating)) else v
 
 
-def content_hash(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()[:16]
+def content_hash(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()[:16]
 
 
-def write_manifest(path, config: dict, seeds: list[int], inputs: dict[str, str]) -> None:
-    """JSON run manifest: resolved config, seeds, and input content hashes."""
+def write_manifest(path, config: dict, seeds: list[int], inputs: dict[str, str],
+                   args: dict | None = None) -> None:
+    """JSON run manifest: resolved config, seeds, input content hashes, command args."""
     payload = {"config": config, "seeds": list(seeds), "input_hashes": inputs}
+    if args is not None:
+        payload["args"] = args
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

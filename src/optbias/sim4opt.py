@@ -14,11 +14,12 @@ by label; a task with kappa < 2 has no pair.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 
 import numpy as np
 
@@ -265,102 +266,103 @@ def build_pairs(t: SyntheticTask, rng: RngState, count: int):
 
 
 BUNDLE_VERSION = 2
-# The digest covers every byte of the file, its own 64 hex digits read as
-# zeros. Keys are sorted, so only "shape" (integers), "states" (base64) and
-# "version" follow the top-level "sha256" key, and none of them can contain
-# it: that key is the last match in the file, whatever the config holds.
-_SHA_KEY = b'"sha256":"'
 _SHA_ZEROS = b"0" * 64
+_B64_BLOCK = 3 << 16  # raw bytes per base64 block; a multiple of 3, so blocks concatenate
 
 
-def _sha_offset(data: bytes) -> int:
-    at = data.rfind(_SHA_KEY)
-    return -1 if at < 0 else at + len(_SHA_KEY)
+def _spans(data: bytes) -> list[tuple[int, int] | None]:
+    """(start, end) of the top-level "labels", "sha256" and "states" string values,
+    or None. Keys are sorted, and no value after one of these keys can hold its
+    '"key":"' text: the last match before the next key's is the top-level key."""
+    spans, stop = [], len(data)
+    for key in (b'"states":"', b'"sha256":"', b'"labels":"'):
+        at = data.rfind(key, 0, stop)
+        end = -1 if at < 0 else data.find(b'"', at + len(key))
+        spans.insert(0, None if end < 0 else (at + len(key), end))
+        stop = at if at >= 0 else stop
+    return spans
 
 
-def _file_digest(data: bytes, at: int) -> str:
-    view = memoryview(data)
-    h = hashlib.sha256(view[:at])
-    h.update(_SHA_ZEROS)
-    h.update(view[at + len(_SHA_ZEROS):])
-    return h.hexdigest()
+def _b64_blocks(arrays):
+    """Base64 of the f64 bytes of ``arrays`` laid end to end, block by block."""
+    rest = b""
+    for a in arrays:
+        raw = memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B")
+        for lo in range(0, len(raw), _B64_BLOCK):
+            block = rest + raw[lo : lo + _B64_BLOCK]
+            rest = block[len(block) // 3 * 3 :]
+            yield binascii.b2a_base64(memoryview(block)[: len(block) - len(rest)], newline=False)
+    yield binascii.b2a_base64(rest, newline=False)
 
 
 def save_bundle(tasks: list[SyntheticTask], path, config: dict | None = None) -> None:
-    """Write a version-2 bundle: one JSON document (sorted keys) holding the
-    per-task params, ``shape = [K, T, kappa, d]``, all states and labels as
-    base64 blocks of little-endian f64, and a sha256 of the whole file.
-
-    Raises ValueError when the tasks do not share one (T, kappa, d) shape.
-    """
-    if not tasks:
-        raise ValueError("cannot save an empty task list")
-    try:
-        states = np.stack([t.states for t in tasks])
-        labels = np.stack([t.labels for t in tasks])
-    except ValueError as exc:
-        raise ValueError(f"tasks must share one (T, kappa, d) shape: {exc}") from None
-    if states.ndim != 4 or labels.shape != states.shape[:3]:
-        raise ValueError(
-            f"states {states.shape} and labels {labels.shape} are not (K, T, kappa, d) "
-            "and (K, T, kappa)"
-        )
-    doc = {
-        "version": BUNDLE_VERSION,
-        "config": config or {},
-        "params": [{"task_id": t.task_id, **asdict(t.params)} for t in tasks],
-        "shape": list(states.shape),
-        "states": base64.b64encode(states.astype("<f8", copy=False).tobytes()).decode("ascii"),
-        "labels": base64.b64encode(labels.astype("<f8", copy=False).tobytes()).decode("ascii"),
-        "sha256": _SHA_ZEROS.decode("ascii"),
-    }
-    data = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
-    at = _sha_offset(data)
+    """Write a version-2 bundle: one sorted-key JSON document of the per-task params,
+    ``shape = [K, T, kappa, d]``, all labels and states as base64 of little-endian
+    f64 (encoded and hashed block by block), and the sha256 of the file with its
+    own 64 hex digits as zeros."""
+    shape = tasks[0].states.shape if tasks else ()
+    if len(shape) != 3 or any(t.states.shape != shape or t.labels.shape != shape[:2]
+                              for t in tasks):
+        raise ValueError(f"cannot save an empty task list or tasks of unequal shapes: {shape}")
+    doc = {"version": BUNDLE_VERSION, "config": config or {}, "shape": [len(tasks), *shape],
+           "params": [{"task_id": t.task_id, **asdict(t.params)} for t in tasks],
+           "labels": "", "sha256": "", "states": ""}
+    skeleton = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+    (lab, _), (sha, _), (sta, _) = _spans(skeleton)
+    pieces = chain([skeleton[:lab]], _b64_blocks(t.labels for t in tasks),
+                   [skeleton[lab:sha], _SHA_ZEROS, skeleton[sha:sta]],
+                   _b64_blocks(t.states for t in tasks), [skeleton[sta:]])
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(memoryview(data)[:at])
-        fh.write(_file_digest(data, at).encode("ascii"))
-        fh.write(memoryview(data)[at + len(_SHA_ZEROS):])
+        for piece in pieces:
+            if piece is _SHA_ZEROS:
+                at = fh.tell()
+            digest.update(piece)
+            fh.write(piece)
+        fh.seek(at)
+        fh.write(digest.hexdigest().encode("ascii"))
 
 
-def _decode_block(b64: str, shape: tuple[int, ...]) -> np.ndarray:
-    raw = base64.b64decode(b64, validate=True)
+def _decode_block(data: bytes, span, value, shape: tuple[int, ...]) -> np.ndarray:
+    """The f64 block base64-encoded at ``span``, which the parsed document holds as ``value``."""
+    if span is None or value != "":
+        raise ValueError("no base64 block at its key")
+    raw = binascii.a2b_base64(memoryview(data)[span[0] : span[1]], strict_mode=True)
     if len(raw) != 8 * math.prod(shape):
         raise DataError(f"{len(raw)} bytes do not hold a {shape} f64 block")
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
 def load_bundle(path) -> list[SyntheticTask]:
-    """Read a bundle written by save_bundle; tasks are views of two arrays.
-
-    Raises TaskGenerationFailed for another bundle version and DataError for
-    a malformed file or one whose sha256 does not match its bytes.
-    """
+    """Read a bundle written by save_bundle; tasks are views of two arrays decoded
+    straight from the file's bytes once the JSON around them is parsed. Raises
+    TaskGenerationFailed for another bundle version and DataError for a malformed
+    file or one whose sha256 does not match its bytes."""
     with open(path, "rb") as fh:
         data = fh.read()
+    lab, sha, sta = _spans(data)
+    cuts = [0, *chain(*filter(None, (lab, sta))), len(data)]
     try:
-        doc = json.loads(data)
-    except ValueError as exc:
+        doc = json.loads(b"".join(data[lo:hi] for lo, hi in zip(cuts[::2], cuts[1::2])))
+        version = doc.get("version")
+    except (ValueError, AttributeError) as exc:
         raise DataError(f"{path}: not a task bundle ({exc})") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: not a task bundle")
-    if doc.get("version") != BUNDLE_VERSION:
-        raise TaskGenerationFailed(
-            f"{path}: bundle version {doc.get('version')!r}, expected {BUNDLE_VERSION}; "
-            "rerun gen-tasks to rewrite it"
-        )
-    at = _sha_offset(data)
-    if at < 0 or data[at : at + len(_SHA_ZEROS)] != _file_digest(data, at).encode("ascii"):
+    if version != BUNDLE_VERSION:
+        raise TaskGenerationFailed(f"{path}: bundle version {version!r}, expected "
+                                   f"{BUNDLE_VERSION}; rerun gen-tasks to rewrite it")
+    lo, hi = sha or (0, 0)
+    digest = hashlib.sha256(memoryview(data)[:lo])
+    digest.update(_SHA_ZEROS)
+    digest.update(memoryview(data)[hi:])
+    if hi - lo != len(_SHA_ZEROS) or data[lo:hi] != digest.hexdigest().encode("ascii"):
         raise DataError(f"{path}: bundle checksum mismatch")
-    del data
     try:
         K, T, kappa, d = (int(v) for v in doc["shape"])
-        states = _decode_block(doc["states"], (K, T, kappa, d))
-        labels = _decode_block(doc["labels"], (K, T, kappa))
+        labels = _decode_block(data, lab, doc["labels"], (K, T, kappa))
+        states = _decode_block(data, sta, doc["states"], (K, T, kappa, d))
         names = [f.name for f in fields(gp.KernelParams)]
-        params = [
-            (rec["task_id"], gp.KernelParams(**{n: rec[n] for n in names}))
-            for rec in doc["params"]
-        ]
+        params = [(rec["task_id"], gp.KernelParams(**{n: rec[n] for n in names}))
+                  for rec in doc["params"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed task bundle ({exc!r})") from None
     if len(params) != K:

@@ -142,6 +142,7 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("sim4opt", "step_size = inf"),
     ("sim4opt", "ucb_beta = -3"),
     ("bench", "frac = nan"),
+    ("meta", "epochs = 50%"),  # a bare % is an interpolation error
 ])
 def test_invalid_config_values_exit_2(tmp_path, data_csv, capsys, section, body):
     p = tmp_path / "bad.ini"
@@ -553,6 +554,20 @@ def test_grad_error_command(tmp_path, cfg_file):
     lines = (out / "grad_error.csv").read_text().strip().splitlines()
     assert lines[0] == "fraction,mean_grad_error,std"
     assert len(lines) == 3
+
+
+def test_grad_error_manifest_replays_the_run(tmp_path, cfg_file):
+    argv = ["grad-error", "--oracle", "sphere", "--fractions", "0.5,1.0"]
+    assert cli.main(["--config", str(cfg_file), "--output-dir", str(tmp_path / "a")] + argv) == 0
+    manifest = json.loads((tmp_path / "a" / "grad_error_manifest.json").read_text())
+    replay = tmp_path / "replay.ini"
+    replay.write_text(_as_ini(manifest["config"]))
+    args = manifest["args"]
+    assert cli.main(["--config", str(replay), "--output-dir", str(tmp_path / "b"), "grad-error",
+                     "--oracle", args["oracle"],
+                     "--fractions", ",".join(map(repr, args["fractions"]))]) == 0
+    for name in ("grad_error.csv", "grad_error_manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_ablate_axis_k(tmp_path, cfg_file):

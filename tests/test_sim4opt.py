@@ -1,8 +1,13 @@
+import base64
+import dataclasses
 import hashlib
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optbias import gp, sim4opt
 from optbias.errors import DataError
@@ -369,3 +374,72 @@ def test_bundle_corruption_is_data_error(tmp_path):
         p.write_bytes(data[:cut])
         with pytest.raises(DataError):
             sim4opt.load_bundle(p)
+
+
+def _whole_document_bundle(tasks, config, path):
+    """The bundle as one json.dumps of the whole document, sealed as above."""
+    states = np.stack([t.states for t in tasks])
+    labels = np.stack([t.labels for t in tasks])
+    _write_sealed({
+        "version": sim4opt.BUNDLE_VERSION,
+        "config": config or {},
+        "params": [{"task_id": t.task_id, **dataclasses.asdict(t.params)} for t in tasks],
+        "shape": list(states.shape),
+        "states": base64.b64encode(states.astype("<f8").tobytes()).decode("ascii"),
+        "labels": base64.b64encode(labels.astype("<f8").tobytes()).decode("ascii"),
+    }, path)
+
+
+# config keys and strings that look like the bundle's own keys, or need escapes
+_KEYS = st.sampled_from(["labels", "states", "sha256", "shape", "version", "config"]) | st.text()
+_TEXT = st.sampled_from(['"labels":"', '"sha256":"', '\\', '"', "é🙂"]) | st.text()
+_CONFIGS = st.none() | st.dictionaries(_KEYS, st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | _TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8), max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 4), T=st.integers(1, 3), kappa=st.integers(1, 5), d=st.integers(1, 3),
+       block=st.sampled_from([3, 6, 24, 3 << 16]), config=_CONFIGS, seed=st.integers(0, 99))
+def test_bundle_bytes_match_the_whole_document_encoder(tmp_path_factory, K, T, kappa, d, block,
+                                                      config, seed):
+    # T * kappa * 8 bytes per task is often not a multiple of 3, and a small
+    # block splits each task's bytes across several base64 blocks
+    r = RngState(seed)
+    states, labels = r.normal(size=(K, T, kappa, d)), r.normal(size=(K, T, kappa))
+    tasks = [sim4opt.SyntheticTask(k, gp.KernelParams(lengthscale=1.0 + k), states[k], labels[k])
+             for k in range(K)]
+    work = tmp_path_factory.mktemp("bundle")
+    _whole_document_bundle(tasks, config, work / "whole.json")
+    with mock.patch.object(sim4opt, "_B64_BLOCK", block):
+        sim4opt.save_bundle(tasks, work / "streamed.json", config=config)
+    assert (work / "streamed.json").read_bytes() == (work / "whole.json").read_bytes()
+    back = sim4opt.load_bundle(work / "streamed.json")
+    assert np.array_equal(np.stack([t.states for t in back]), states)
+    assert np.array_equal(np.stack([t.labels for t in back]), labels)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_bundle_io_memory_is_bounded(tmp_path):
+    # about 8 MB of payload: save holds only a few blocks of it at a time,
+    # load the file's bytes and the decoded arrays
+    r = RngState(14)
+    states, labels = r.normal(size=(32, 32, 201, 4)), r.normal(size=(32, 32, 201))
+    payload = states.nbytes + labels.nbytes
+    tasks = [sim4opt.SyntheticTask(k, gp.KernelParams(), states[k], labels[k]) for k in range(32)]
+    p = tmp_path / "tasks.json"
+    _, save_peak = _traced_peak(sim4opt.save_bundle, tasks, p)
+    back, load_peak = _traced_peak(sim4opt.load_bundle, p)
+    assert np.array_equal(back[-1].states, states[-1])
+    assert save_peak <= 0.25 * payload, save_peak / payload
+    assert load_peak <= 2.5 * payload, load_peak / payload
