@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import binascii
 import hashlib
+import io
 import json
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import chain
+from itertools import chain, pairwise
 
 import numpy as np
 
@@ -270,16 +272,22 @@ _SHA_ZEROS = b"0" * 64
 _B64_BLOCK = 3 << 16  # raw bytes per base64 block; a multiple of 3, so blocks concatenate
 
 
-def _spans(data: bytes) -> list[tuple[int, int] | None]:
-    """(start, end) of the top-level "labels", "sha256" and "states" string values,
-    or None. Keys are sorted, and no value after one of these keys can hold its
-    '"key":"' text: the last match before the next key's is the top-level key."""
-    spans, stop = [], len(data)
+def _spans(fh) -> list[tuple[int, int] | None]:
+    """(start, end) of the top-level "labels", "sha256" and "states" string values in ``fh``,
+    or None, read backwards a block at a time. Keys are sorted, and no value after one of
+    these keys can hold its '"key":"' text: the last match before the next key's is it."""
+    spans, stop, step = [], fh.seek(0, 2), _B64_BLOCK // 3 * 4
     for key in (b'"states":"', b'"sha256":"', b'"labels":"'):
-        at = data.rfind(key, 0, stop)
-        end = -1 if at < 0 else data.find(b'"', at + len(key))
-        spans.insert(0, None if end < 0 else (at + len(key), end))
-        stop = at if at >= 0 else stop
+        at, quote, hi, over = -1, -1, stop, len(key) - 1  # quote: the first '"' from hi + over
+        while at < 0 and hi > 0:
+            lo = max(hi - step, 0)
+            fh.seek(lo)
+            buf = fh.read(hi + over - lo)  # and the next block's head: keys cross cuts
+            at = buf.rfind(key, 0, min(hi + over, stop) - lo)
+            q = buf.find(b'"', over if at < 0 else at + len(key))
+            at, quote, hi = (at if at < 0 else lo + at), (quote if q < 0 else lo + q), lo
+        spans.insert(0, None if min(at, quote) < 0 else (at + len(key), quote))
+        stop = stop if at < 0 else at
     return spans
 
 
@@ -308,7 +316,7 @@ def save_bundle(tasks: list[SyntheticTask], path, config: dict | None = None) ->
            "params": [{"task_id": t.task_id, **asdict(t.params)} for t in tasks],
            "labels": "", "sha256": "", "states": ""}
     skeleton = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
-    (lab, _), (sha, _), (sta, _) = _spans(skeleton)
+    (lab, _), (sha, _), (sta, _) = _spans(io.BytesIO(skeleton))
     pieces = chain([skeleton[:lab]], _b64_blocks(t.labels for t in tasks),
                    [skeleton[lab:sha], _SHA_ZEROS, skeleton[sha:sta]],
                    _b64_blocks(t.states for t in tasks), [skeleton[sta:]])
@@ -323,43 +331,75 @@ def save_bundle(tasks: list[SyntheticTask], path, config: dict | None = None) ->
         fh.write(digest.hexdigest().encode("ascii"))
 
 
-def _decode_block(data: bytes, span, value, shape: tuple[int, ...]) -> np.ndarray:
-    """The f64 block base64-encoded at ``span``, which the parsed document holds as ``value``."""
+def _read(fh, lo: int, hi: int, digest):
+    """The file's bytes [lo, hi) in base64 blocks of whole quads, each fed to ``digest``."""
+    fh.seek(lo)
+    for at in range(lo, hi, step := _B64_BLOCK // 3 * 4):
+        block = fh.read(min(step, hi - at))
+        digest.update(block)
+        yield block
+
+
+def _b64_decode(fh, lo: int, hi: int, digest) -> np.ndarray | binascii.Error:
+    """The bytes of the strict base64 text at [lo, hi), or the error; every block goes to
+    ``digest``. Padding may only end the text, so where blocks are cut never matters."""
+    blocks, out, n, pad = _read(fh, lo, hi, digest), np.empty((hi - lo) // 4 * 3, "u1"), 0, False
+    try:
+        for block in blocks:
+            if pad:
+                raise binascii.Error("padding before the end of the base64 text")
+            chunk = binascii.a2b_base64(block, strict_mode=True)
+            memoryview(out)[n : n + len(chunk)] = chunk
+            n, pad = n + len(chunk), block.endswith(b"=")
+        if pad and n % 3 == 0:
+            raise binascii.Error("excess padding after a whole quad")
+    except binascii.Error as exc:
+        deque(blocks, 0)  # hash what the error left unread
+        return exc
+    return out[:n]
+
+
+def _decoded(span, value, raw, shape: tuple[int, ...]) -> np.ndarray:
+    """The f64 block decoded as ``raw`` from ``span``, which the document holds as ``value``."""
     if span is None or value != "":
         raise ValueError("no base64 block at its key")
-    raw = binascii.a2b_base64(memoryview(data)[span[0] : span[1]], strict_mode=True)
+    if isinstance(raw, binascii.Error):
+        raise raw
     if len(raw) != 8 * math.prod(shape):
         raise DataError(f"{len(raw)} bytes do not hold a {shape} f64 block")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    return raw.view("<f8").reshape(shape)
 
 
 def load_bundle(path) -> list[SyntheticTask]:
     """Read a bundle written by save_bundle; tasks are views of two arrays decoded
-    straight from the file's bytes once the JSON around them is parsed. Raises
-    TaskGenerationFailed for another bundle version and DataError for a malformed
-    file or one whose sha256 does not match its bytes."""
+    block by block from the file, so it holds the arrays and one block, never the
+    file. Raises TaskGenerationFailed for another bundle version and DataError for a
+    malformed file or one whose sha256 does not match its bytes."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    lab, sha, sta = _spans(data)
-    cuts = [0, *chain(*filter(None, (lab, sta))), len(data)]
+        lab, sha, sta = _spans(fh)
+        digest, text, raw, stored = hashlib.sha256(), [], {}, None
+        for lo, hi in pairwise([0, *chain(*filter(None, (lab, sha, sta))), fh.seek(0, 2)]):
+            if (lo, hi) == sha:  # hashed as zeros
+                text.append(stored := fh.read(hi - lo))
+                digest.update(_SHA_ZEROS)
+            elif (lo, hi) in (lab, sta):  # a decoding error waits for the version and checksum
+                raw[lo, hi] = _b64_decode(fh, lo, hi, digest)
+            else:
+                text.extend(_read(fh, lo, hi, digest))
     try:
-        doc = json.loads(b"".join(data[lo:hi] for lo, hi in zip(cuts[::2], cuts[1::2])))
+        doc = json.loads(b"".join(text))
         version = doc.get("version")
     except (ValueError, AttributeError) as exc:
         raise DataError(f"{path}: not a task bundle ({exc})") from None
     if version != BUNDLE_VERSION:
         raise TaskGenerationFailed(f"{path}: bundle version {version!r}, expected "
                                    f"{BUNDLE_VERSION}; rerun gen-tasks to rewrite it")
-    lo, hi = sha or (0, 0)
-    digest = hashlib.sha256(memoryview(data)[:lo])
-    digest.update(_SHA_ZEROS)
-    digest.update(memoryview(data)[hi:])
-    if hi - lo != len(_SHA_ZEROS) or data[lo:hi] != digest.hexdigest().encode("ascii"):
+    if stored != digest.hexdigest().encode("ascii"):
         raise DataError(f"{path}: bundle checksum mismatch")
     try:
         K, T, kappa, d = (int(v) for v in doc["shape"])
-        labels = _decode_block(data, lab, doc["labels"], (K, T, kappa))
-        states = _decode_block(data, sta, doc["states"], (K, T, kappa, d))
+        labels = _decoded(lab, doc["labels"], raw.get(lab), (K, T, kappa))
+        states = _decoded(sta, doc["states"], raw.get(sta), (K, T, kappa, d))
         names = [f.name for f in fields(gp.KernelParams)]
         params = [(rec["task_id"], gp.KernelParams(**{n: rec[n] for n in names}))
                   for rec in doc["params"]]

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from optbias import bench, cli, gp
 from optbias.dataio import OfflineDataset, save_dataset
-from optbias.errors import ConfigError
+from optbias.errors import ConfigError, NumericalError
 from optbias.numerics import RngState
 from optbias.sim4opt import SyntheticTask, save_bundle
 
@@ -508,6 +509,46 @@ def test_bench_determinism_and_jobs(tmp_path, cfg_file):
         outs.append((out / "scores.csv").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] == outs[2]
+
+
+def test_bench_pool_spawns_one_blas_thread_workers(tmp_path, cfg_file, monkeypatch):
+    # the pool's workers are spawned while the BLAS thread variables are pinned,
+    # get the longest cells first, and leave the parent's environment as it was
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            seen.append(("pool", max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            seen.append(("env", os.environ.get("OPENBLAS_NUM_THREADS"),
+                         os.environ.get("OMP_NUM_THREADS")))
+            seen.append(("methods", [p[1] for p in payloads]))
+            if fail:
+                raise NumericalError("a cell failed")
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    argv = ["--config", str(cfg_file), "--output-dir", str(tmp_path / "a"), "bench", "--jobs", "2"]
+    for fail, rc in ((False, 0), (True, 3)):
+        seen.clear()
+        assert cli.main(argv) == rc
+        assert seen == [("pool", 2, "spawn"), ("env", "1", "1"),
+                        ("methods", ["optbias", "optbias", "ga", "ga"])]
+        assert dict(os.environ) == before
+    serial = tmp_path / "serial"
+    assert cli.main(["--config", str(cfg_file), "--output-dir", str(serial), "bench"]) == 0
+    assert (tmp_path / "a" / "scores.csv").read_bytes() == (serial / "scores.csv").read_bytes()
 
 
 def test_pipeline_composability(tmp_path, cfg_file):
