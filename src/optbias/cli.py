@@ -115,7 +115,10 @@ def parse_config(path: str | None) -> dict:
     """Resolve a config file against the key tables; unknown keys are rejected."""
     parser = configparser.ConfigParser()
     if path is not None:
-        read = parser.read(path, encoding="utf-8")
+        try:
+            read = parser.read(path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from None
         if not read:
             raise DataError(f"cannot read config file {path}")
     root = bench.PipelineConfig()
@@ -376,9 +379,7 @@ def cmd_inspect(cfg, args) -> int:
     path = Path(args.file)
     if not path.exists():
         raise DataError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        magic = fh.read(len(sg.CHECKPOINT_MAGIC))
-    if path.suffix == ".ckpt" or magic == sg.CHECKPOINT_MAGIC:
+    if path.suffix == ".ckpt":
         net = sg.load_checkpoint(path)
         print(f"surrogate checkpoint: {path}")
         print(f"  arch: input_dim={net.arch.input_dim} hidden={list(net.arch.hidden)} "

@@ -1,5 +1,6 @@
 """Offline dataset model: CSV persistence, standardization, low-value subset
-selection, and normalized scoring.
+selection, normalized scoring, and the sealed f64 files that hold task bundles
+and checkpoints.
 
 CSV schema: header ``x0,x1,...,x{d-1},y``, UTF-8, '.' decimal, one design per
 row. Standardization uses the population (not sample) standard deviation;
@@ -11,7 +12,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+import struct
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +35,10 @@ class InvalidFraction(DataError):
 
 
 class DegenerateBounds(DataError):
+    pass
+
+
+class UnsupportedFormat(DataError):
     pass
 
 
@@ -91,7 +99,10 @@ class Scaler:
 def load_dataset(path) -> OfflineDataset:
     """Read a dataset CSV, rejecting NaN/Inf with row/column location."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return _read_csv(fh)
+        try:
+            return _read_csv(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _read_csv(fh) -> OfflineDataset:
@@ -191,3 +202,61 @@ def write_manifest(path, config: dict, seeds: list[int], inputs: dict[str, str],
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+_LEAD = struct.Struct("<4sBI")  # magic, version, header length
+_DIGEST_BYTES = 32
+
+
+def write_sealed(path, magic: bytes, version: int, header: dict, arrays) -> None:
+    """Write ``magic``, a version byte, the header length as a little-endian uint32,
+    ``header`` as sorted-key JSON, the little-endian f64 bytes of ``arrays`` end to
+    end, and last the 32-byte sha256 of every byte before it. Each array is written
+    and hashed where it lies."""
+    head = json.dumps(header, sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for piece in chain([_LEAD.pack(magic, version, len(head)), head],
+                           (memoryview(np.ascontiguousarray(a, "<f8")).cast("B") for a in arrays)):
+            digest.update(piece)
+            fh.write(piece)
+        fh.write(digest.digest())
+
+
+def read_sealed(path, magic: bytes, version: int, kind: str,
+                retired: tuple[bytes, str]) -> tuple[dict, np.ndarray]:
+    """The JSON header and the f64 payload (one array) of a file from write_sealed.
+    The payload's length comes from the file's size; it is read into the array and
+    hashed as it fills, and the digest is checked before the header is parsed. An
+    older format (a file that starts with ``retired[0]``, reported as ``retired[1]``)
+    or version raises UnsupportedFormat; any other fault, DataError."""
+    with open(path, "rb") as fh:
+        lead = fh.read(_LEAD.size)
+        if lead.startswith(retired[0]):
+            raise UnsupportedFormat(f"{path}: {retired[1]}")
+        if lead[:4] != magic:
+            raise DataError(f"{path}: not a {kind}")
+        if len(lead) < _LEAD.size:
+            raise DataError(f"{path}: {kind} truncated in its header")
+        _, found, hlen = _LEAD.unpack(lead)
+        if found != version:
+            raise UnsupportedFormat(f"{path}: unsupported {kind} version {found}")
+        body = os.fstat(fh.fileno()).st_size - _DIGEST_BYTES
+        head = fh.read(max(min(hlen, body - _LEAD.size), 0))
+        values = np.empty(max(body - _LEAD.size - hlen, 0) // 8, "<f8")
+        digest = hashlib.sha256(lead + head)
+        raw = memoryview(values).cast("B")
+        for lo in range(0, len(raw), 1 << 20):
+            fh.readinto(block := raw[lo : lo + (1 << 20)])
+            digest.update(block)
+        rest = fh.read(max(body - fh.tell(), 0))  # payload bytes past the last whole f64
+        digest.update(rest)
+        if fh.read() != digest.digest():
+            raise DataError(f"{path}: {kind} checksum mismatch")
+    if rest or _LEAD.size + hlen > body:
+        raise DataError(f"{path}: {kind}: {body + _DIGEST_BYTES} bytes do not hold a "
+                        f"{hlen}-byte header and whole f64 values")
+    try:
+        return json.loads(head), values
+    except ValueError as exc:
+        raise DataError(f"{path}: unreadable {kind} header ({exc!r})") from None

@@ -14,19 +14,13 @@ by label; a task with kappa < 2 has no pair.
 
 from __future__ import annotations
 
-import binascii
-import hashlib
-import io
-import json
-import math
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import chain, pairwise
+from itertools import chain
 
 import numpy as np
 
 from . import gp
-from .dataio import OfflineDataset
+from .dataio import OfflineDataset, UnsupportedFormat, read_sealed, write_sealed
 from .errors import DataError, NumericalError
 from .numerics import RngState, cholesky_solve
 
@@ -267,145 +261,44 @@ def build_pairs(t: SyntheticTask, rng: RngState, count: int):
     return t.states[ti, r], t.states[ti, r + 1], t.labels[ti, r + 1] - t.labels[ti, r]
 
 
-BUNDLE_VERSION = 2
-_SHA_ZEROS = b"0" * 64
-_B64_BLOCK = 3 << 16  # raw bytes per base64 block; a multiple of 3, so blocks concatenate
-
-
-def _spans(fh) -> list[tuple[int, int] | None]:
-    """(start, end) of the top-level "labels", "sha256" and "states" string values in ``fh``,
-    or None, read backwards a block at a time. Keys are sorted, and no value after one of
-    these keys can hold its '"key":"' text: the last match before the next key's is it."""
-    spans, stop, step = [], fh.seek(0, 2), _B64_BLOCK // 3 * 4
-    for key in (b'"states":"', b'"sha256":"', b'"labels":"'):
-        at, quote, hi, over = -1, -1, stop, len(key) - 1  # quote: the first '"' from hi + over
-        while at < 0 and hi > 0:
-            lo = max(hi - step, 0)
-            fh.seek(lo)
-            buf = fh.read(hi + over - lo)  # and the next block's head: keys cross cuts
-            at = buf.rfind(key, 0, min(hi + over, stop) - lo)
-            q = buf.find(b'"', over if at < 0 else at + len(key))
-            at, quote, hi = (at if at < 0 else lo + at), (quote if q < 0 else lo + q), lo
-        spans.insert(0, None if min(at, quote) < 0 else (at + len(key), quote))
-        stop = stop if at < 0 else at
-    return spans
-
-
-def _b64_blocks(arrays):
-    """Base64 of the f64 bytes of ``arrays`` laid end to end, block by block."""
-    rest = b""
-    for a in arrays:
-        raw = memoryview(np.ascontiguousarray(a, dtype="<f8")).cast("B")
-        for lo in range(0, len(raw), _B64_BLOCK):
-            block = rest + raw[lo : lo + _B64_BLOCK]
-            rest = block[len(block) // 3 * 3 :]
-            yield binascii.b2a_base64(memoryview(block)[: len(block) - len(rest)], newline=False)
-    yield binascii.b2a_base64(rest, newline=False)
+BUNDLE_MAGIC = b"OBTB"
+BUNDLE_VERSION = 3
+_RETIRED = (b"{", "a JSON task bundle from before version 3; rerun gen-tasks to rewrite it")
 
 
 def save_bundle(tasks: list[SyntheticTask], path, config: dict | None = None) -> None:
-    """Write a version-2 bundle: one sorted-key JSON document of the per-task params,
-    ``shape = [K, T, kappa, d]``, all labels and states as base64 of little-endian
-    f64 (encoded and hashed block by block), and the sha256 of the file with its
-    own 64 hex digits as zeros."""
+    """Write a version-3 bundle (dataio.write_sealed): a header of the ``config``
+    snapshot, one ``params`` record per task and ``shape = [K, T, kappa, d]``, then
+    every task's labels and every task's states, straight from the task arrays."""
     shape = tasks[0].states.shape if tasks else ()
     if len(shape) != 3 or any(t.states.shape != shape or t.labels.shape != shape[:2]
                               for t in tasks):
         raise ValueError(f"cannot save an empty task list or tasks of unequal shapes: {shape}")
-    doc = {"version": BUNDLE_VERSION, "config": config or {}, "shape": [len(tasks), *shape],
-           "params": [{"task_id": t.task_id, **asdict(t.params)} for t in tasks],
-           "labels": "", "sha256": "", "states": ""}
-    skeleton = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
-    (lab, _), (sha, _), (sta, _) = _spans(io.BytesIO(skeleton))
-    pieces = chain([skeleton[:lab]], _b64_blocks(t.labels for t in tasks),
-                   [skeleton[lab:sha], _SHA_ZEROS, skeleton[sha:sta]],
-                   _b64_blocks(t.states for t in tasks), [skeleton[sta:]])
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for piece in pieces:
-            if piece is _SHA_ZEROS:
-                at = fh.tell()
-            digest.update(piece)
-            fh.write(piece)
-        fh.seek(at)
-        fh.write(digest.hexdigest().encode("ascii"))
-
-
-def _read(fh, lo: int, hi: int, digest):
-    """The file's bytes [lo, hi) in base64 blocks of whole quads, each fed to ``digest``."""
-    fh.seek(lo)
-    for at in range(lo, hi, step := _B64_BLOCK // 3 * 4):
-        block = fh.read(min(step, hi - at))
-        digest.update(block)
-        yield block
-
-
-def _b64_decode(fh, lo: int, hi: int, digest) -> np.ndarray | binascii.Error:
-    """The bytes of the strict base64 text at [lo, hi), or the error; every block goes to
-    ``digest``. Padding may only end the text, so where blocks are cut never matters."""
-    blocks, out, n, pad = _read(fh, lo, hi, digest), np.empty((hi - lo) // 4 * 3, "u1"), 0, False
-    try:
-        for block in blocks:
-            if pad:
-                raise binascii.Error("padding before the end of the base64 text")
-            chunk = binascii.a2b_base64(block, strict_mode=True)
-            memoryview(out)[n : n + len(chunk)] = chunk
-            n, pad = n + len(chunk), block.endswith(b"=")
-        if pad and n % 3 == 0:
-            raise binascii.Error("excess padding after a whole quad")
-    except binascii.Error as exc:
-        deque(blocks, 0)  # hash what the error left unread
-        return exc
-    return out[:n]
-
-
-def _decoded(span, value, raw, shape: tuple[int, ...]) -> np.ndarray:
-    """The f64 block decoded as ``raw`` from ``span``, which the document holds as ``value``."""
-    if span is None or value != "":
-        raise ValueError("no base64 block at its key")
-    if isinstance(raw, binascii.Error):
-        raise raw
-    if len(raw) != 8 * math.prod(shape):
-        raise DataError(f"{len(raw)} bytes do not hold a {shape} f64 block")
-    return raw.view("<f8").reshape(shape)
+    header = {"config": config or {}, "shape": [len(tasks), *shape],
+              "params": [{"task_id": t.task_id, **asdict(t.params)} for t in tasks]}
+    write_sealed(path, BUNDLE_MAGIC, BUNDLE_VERSION, header,
+                 chain((t.labels for t in tasks), (t.states for t in tasks)))
 
 
 def load_bundle(path) -> list[SyntheticTask]:
-    """Read a bundle written by save_bundle; tasks are views of two arrays decoded
-    block by block from the file, so it holds the arrays and one block, never the
-    file. Raises TaskGenerationFailed for another bundle version and DataError for a
-    malformed file or one whose sha256 does not match its bytes."""
-    with open(path, "rb") as fh:
-        lab, sha, sta = _spans(fh)
-        digest, text, raw, stored = hashlib.sha256(), [], {}, None
-        for lo, hi in pairwise([0, *chain(*filter(None, (lab, sha, sta))), fh.seek(0, 2)]):
-            if (lo, hi) == sha:  # hashed as zeros
-                text.append(stored := fh.read(hi - lo))
-                digest.update(_SHA_ZEROS)
-            elif (lo, hi) in (lab, sta):  # a decoding error waits for the version and checksum
-                raw[lo, hi] = _b64_decode(fh, lo, hi, digest)
-            else:
-                text.extend(_read(fh, lo, hi, digest))
+    """Read a bundle written by save_bundle; tasks are views of the one payload
+    array. Raises TaskGenerationFailed for a JSON bundle or another version and
+    DataError for a malformed file or one whose sha256 does not match its bytes."""
     try:
-        doc = json.loads(b"".join(text))
-        version = doc.get("version")
-    except (ValueError, AttributeError) as exc:
-        raise DataError(f"{path}: not a task bundle ({exc})") from None
-    if version != BUNDLE_VERSION:
-        raise TaskGenerationFailed(f"{path}: bundle version {version!r}, expected "
-                                   f"{BUNDLE_VERSION}; rerun gen-tasks to rewrite it")
-    if stored != digest.hexdigest().encode("ascii"):
-        raise DataError(f"{path}: bundle checksum mismatch")
+        header, values = read_sealed(path, BUNDLE_MAGIC, BUNDLE_VERSION, "task bundle", _RETIRED)
+    except UnsupportedFormat as exc:
+        raise TaskGenerationFailed(str(exc)) from None
     try:
-        K, T, kappa, d = (int(v) for v in doc["shape"])
-        labels = _decoded(lab, doc["labels"], raw.get(lab), (K, T, kappa))
-        states = _decoded(sta, doc["states"], raw.get(sta), (K, T, kappa, d))
+        K, T, kappa, d = (int(v) for v in header["shape"])
         names = [f.name for f in fields(gp.KernelParams)]
         params = [(rec["task_id"], gp.KernelParams(**{n: rec[n] for n in names}))
-                  for rec in doc["params"]]
+                  for rec in header["params"]]
+        if values.size != K * T * kappa * (d + 1) or len(params) != K:
+            raise ValueError(f"{len(params)} params records and {8 * values.size} bytes "
+                             f"do not hold shape {[K, T, kappa, d]}")
+        labels = values[: K * T * kappa].reshape(K, T, kappa)
+        states = values[K * T * kappa :].reshape(K, T, kappa, d)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed task bundle ({exc!r})") from None
-    if len(params) != K:
-        raise DataError(f"{path}: {len(params)} params records for {K} tasks")
     return [SyntheticTask(task_id, p, states[k], labels[k])
             for k, (task_id, p) in enumerate(params)]

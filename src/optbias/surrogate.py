@@ -16,14 +16,13 @@ statistics second derivatives are well-posed.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalError, ShapeMismatch
+from .dataio import read_sealed, write_sealed
+from .errors import DataError, DimensionMismatch, NumericalError, ShapeMismatch
 from .numerics import RngState
 
 EPS = 1e-5
@@ -342,58 +341,32 @@ def apply_update(net: SurrogateNet, grad: np.ndarray, lr: float, optimizer_state
 
 CHECKPOINT_MAGIC = b"OBSN"
 CHECKPOINT_VERSION = 2
-_DIGEST_BYTES = 32
+_RETIRED = (CHECKPOINT_MAGIC + b"\x01",
+            "checkpoint version 1 carries no checksum; rerun the stage that wrote it")
 
 
 def save_checkpoint(net: SurrogateNet, path) -> None:
-    """Binary checkpoint: magic, version byte, header length, JSON header, raw
-    little-endian f64 params and norm statistics, then the 32-byte sha256 of
-    everything before it."""
-    header = json.dumps(
-        {
-            "input_dim": net.arch.input_dim,
-            "hidden": list(net.arch.hidden),
-            "slope": net.arch.slope,
-            "norm": net.arch.norm,
-            "n_stats": len(net.norm_stats),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    parts = [CHECKPOINT_MAGIC, struct.pack("<BI", CHECKPOINT_VERSION, len(header)), header,
-             net.params.astype("<f8").tobytes()]
-    for rm, rv in net.norm_stats:
-        parts += [rm.astype("<f8").tobytes(), rv.astype("<f8").tobytes()]
-    data = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(data)
-        fh.write(hashlib.sha256(data).digest())
+    """Sealed checkpoint (dataio.write_sealed): a JSON header of the architecture,
+    then the flat params and each norm layer's running mean and variance."""
+    header = {"input_dim": net.arch.input_dim, "hidden": list(net.arch.hidden),
+              "slope": net.arch.slope, "norm": net.arch.norm, "n_stats": len(net.norm_stats)}
+    write_sealed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, header,
+                 [net.params, *chain.from_iterable(net.norm_stats)])
 
 
 def load_checkpoint(path) -> SurrogateNet:
     """Read a checkpoint written by save_checkpoint.
 
     Raises NumericalError for a wrong magic or version, a sha256 mismatch
-    (any truncated or altered byte), an unreadable header, or a body whose
+    (any truncated or altered byte), an unreadable header, or a payload whose
     length disagrees with its header.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise NumericalError(f"{path}: not a surrogate checkpoint")
-    if len(data) < 9:
-        raise NumericalError(f"{path}: checkpoint truncated in its header")
-    version, hlen = struct.unpack_from("<BI", data, 4)
-    if version == 1:
-        raise NumericalError(
-            f"{path}: checkpoint version 1 carries no checksum; rerun the stage that wrote it"
-        )
-    if version != CHECKPOINT_VERSION:
-        raise NumericalError(f"{path}: unsupported checkpoint version {version}")
-    body, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
-    if len(data) < 9 + _DIGEST_BYTES or hashlib.sha256(body).digest() != digest:
-        raise NumericalError(f"{path}: checkpoint checksum mismatch")
     try:
-        meta = json.loads(body[9 : 9 + hlen].decode("utf-8"))
+        meta, values = read_sealed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint",
+                                   _RETIRED)
+    except DataError as exc:
+        raise NumericalError(str(exc)) from None
+    try:
         arch = Architecture(
             meta["input_dim"], tuple(meta["hidden"]), meta["slope"], meta["norm"]
         )
@@ -403,15 +376,9 @@ def load_checkpoint(path) -> SurrogateNet:
         n_params = arch.n_params()
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NumericalError(f"{path}: unreadable checkpoint header ({exc!r})") from None
-    expected = 9 + hlen + 8 * (n_params + 2 * sum(widths))
-    if len(body) != expected:
-        raise NumericalError(
-            f"{path}: checkpoint body has {len(body)} bytes, its header implies {expected}"
-        )
-    values = np.frombuffer(body, dtype="<f8", offset=9 + hlen).copy()
-    params, off = values[:n_params], n_params
-    stats = []
-    for w in widths:
-        stats.append((values[off : off + w], values[off + w : off + 2 * w]))
-        off += 2 * w
-    return SurrogateNet(arch, params, stats)
+    expected = n_params + 2 * sum(widths)
+    if values.size != expected:
+        raise NumericalError(f"{path}: checkpoint payload has {values.size} values, "
+                             f"its header implies {expected}")
+    params, *stats = np.split(values, np.cumsum([n_params, *np.repeat(widths, 2)])[:-1])
+    return SurrogateNet(arch, params, list(zip(stats[::2], stats[1::2])))

@@ -144,6 +144,8 @@ def test_config_error_exit_code(tmp_path, capsys):
     ("sim4opt", "ucb_beta = -3"),
     ("bench", "frac = nan"),
     ("meta", "epochs = 50%"),  # a bare % is an interpolation error
+    ("meta", "epochs = 2\nepochs = 3"),  # a duplicate key
+    ("meta", "epochs = 2\n[meta]\nepochs = 3"),  # a duplicate section
 ])
 def test_invalid_config_values_exit_2(tmp_path, data_csv, capsys, section, body):
     p = tmp_path / "bad.ini"
@@ -152,6 +154,18 @@ def test_invalid_config_values_exit_2(tmp_path, data_csv, capsys, section, body)
                    "gen-tasks", "--data", str(data_csv)])
     assert rc == 2
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", [b"epochs = 2\n", b"[meta]\nepochs = 2\xff\n"],
+                         ids=["no section header", "not UTF-8"])
+def test_unparsable_config_file_exits_2(tmp_path, data_csv, capsys, raw):
+    p = tmp_path / "bad.ini"
+    p.write_bytes(raw)
+    rc = cli.main(["--config", str(p), "--output-dir", str(tmp_path / "out"),
+                   "gen-tasks", "--data", str(data_csv)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config" in err and str(p) in err and "Traceback" not in err
 
 
 def _with_bench_key(line: str) -> str:
@@ -379,12 +393,13 @@ def test_pretrain_manifest_replays_without_the_flag(tmp_path, data_csv, cfg_file
 
 def test_v1_bundle_exit_3(tmp_path, data_csv, cfg_file, capsys):
     p = tmp_path / "tasks.json"
-    p.write_text(json.dumps({"version": 1, "config": {}, "tasks": []}) + "\n")
-    assert cli.main(["inspect", "--file", str(p)]) == 3
-    rc = cli.main(["--config", str(cfg_file), "--output-dir", str(tmp_path / "out"),
-                   "meta-train", "--data", str(data_csv), "--tasks", str(p)])
-    assert rc == 3
-    assert "gen-tasks" in capsys.readouterr().err
+    for version in (1, 2):  # JSON bundles, from before the sealed framing
+        p.write_text(json.dumps({"version": version, "config": {}, "tasks": []}) + "\n")
+        assert cli.main(["inspect", "--file", str(p)]) == 3
+        rc = cli.main(["--config", str(cfg_file), "--output-dir", str(tmp_path / "out"),
+                       "meta-train", "--data", str(data_csv), "--tasks", str(p)])
+        assert rc == 3
+        assert "gen-tasks" in capsys.readouterr().err
 
 
 def test_single_state_trajectories_exit_3(tmp_path, data_csv, cfg_file, capsys):

@@ -48,6 +48,13 @@ def test_load_ragged_row():
         _read_csv(io.StringIO("x0,x1,y\n1,2\n"))
 
 
+def test_load_rejects_non_utf8(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"x0,y\n1,2\n3,\xff4\n")
+    with pytest.raises(ParseError, match="UTF-8"):
+        load_dataset(p)
+
+
 def test_dataset_shape_mismatch():
     with pytest.raises(Exception):
         OfflineDataset(np.zeros((3, 2)), np.zeros(2))

@@ -1,9 +1,6 @@
-import base64
-import dataclasses
 import hashlib
 import json
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -297,8 +294,13 @@ def test_bundle_round_trip(tmp_path):
 
 def test_bundle_bad_version(tmp_path):
     p = tmp_path / "bad.json"
-    p.write_text('{"version": 99, "tasks": []}\n')
-    with pytest.raises(sim4opt.TaskGenerationFailed, match="expected 2.*gen-tasks"):
+    for version in (1, 2):  # the JSON bundles that came before the sealed framing
+        p.write_text(json.dumps({"version": version, "config": {}, "tasks": []}) + "\n")
+        with pytest.raises(sim4opt.TaskGenerationFailed, match="JSON.*gen-tasks"):
+            sim4opt.load_bundle(p)
+    header, payload = _split(_bundle_file(tmp_path).read_bytes())
+    p.write_bytes(_sealed(header, payload, version=4))
+    with pytest.raises(sim4opt.TaskGenerationFailed, match="version 4"):
         sim4opt.load_bundle(p)
 
 
@@ -314,98 +316,82 @@ def test_bundle_rejects_ragged_tasks(tmp_path):
         sim4opt.save_bundle([], tmp_path / "empty.json")
 
 
-def _bundle_doc(tmp_path):
+def _bundle_file(tmp_path):
     ds = offline_2d()
     cfg = sim4opt.Sim4OptConfig(n_functions=2, evolve_steps=2)
     p = tmp_path / "tasks.json"
     sim4opt.save_bundle(sim4opt.generate_tasks(ds, cfg, RngState(13)), p)
-    return p, json.loads(p.read_text())
+    return p
 
 
-def _write_sealed(doc, path):
-    """Write ``doc`` as save_bundle would, with a checksum that matches it."""
-    doc = dict(doc, sha256="0" * 64)
-    data = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
-    at = data.rfind(b'"sha256":"') + len('"sha256":"')
-    digest = hashlib.sha256(data).hexdigest().encode()
-    path.write_bytes(data[:at] + digest + data[at + 64:])
+def _split(data: bytes):
+    """The JSON header and the payload bytes of a sealed bundle."""
+    hlen = int.from_bytes(data[5:9], "little")
+    return json.loads(data[9 : 9 + hlen]), data[9 + hlen : -32]
+
+
+def _sealed(header, payload: bytes, version=3, hlen=None) -> bytes:
+    """The bundle that frames ``header`` (a dict, or raw bytes) and ``payload`` as
+    save_bundle does, with a checksum that matches it; ``hlen`` overrides the
+    stored header length."""
+    head = header if isinstance(header, bytes) else json.dumps(header, sort_keys=True).encode()
+    body = (b"OBTB" + bytes([version]) + (len(head) if hlen is None else hlen).to_bytes(4, "little")
+            + head + payload)
+    return body + hashlib.sha256(body).digest()
 
 
 def test_bundle_checksum_is_over_the_file(tmp_path):
-    p, doc = _bundle_doc(tmp_path)
-    resealed = tmp_path / "resealed.json"
-    _write_sealed(doc, resealed)
-    assert resealed.read_bytes() == p.read_bytes()
+    data = _bundle_file(tmp_path).read_bytes()
+    assert _sealed(*_split(data)) == data
+
+
+def _shape(f, **at):
+    f["header"]["shape"] = [at.get(str(i), n) for i, n in enumerate(f["header"]["shape"])]
 
 
 @pytest.mark.parametrize("edit, match", [
-    (lambda doc: doc.pop("shape"), "malformed"),
-    (lambda doc: doc.pop("params"), "malformed"),
-    (lambda doc: doc["shape"].__setitem__(1, doc["shape"][1] + 1), "bytes do not hold"),
-    (lambda doc: doc.update(labels=doc["labels"][:-4]), "bytes do not hold"),
-    (lambda doc: doc.update(states="***"), "malformed"),
-    (lambda doc: doc["params"].pop(), "params records"),
-    (lambda doc: doc["params"][0].update(lengthscale=-1.0), "malformed"),
-    (lambda doc: doc.update(labels="AA==" + doc["labels"][4:]), "malformed"),
-    (lambda doc: doc.update(labels=doc["labels"] + "="), "malformed"),  # after a whole quad
+    (lambda f: f["header"].pop("shape"), "malformed"),
+    (lambda f: f["header"].pop("params"), "malformed"),
+    (lambda f: _shape(f, **{"1": f["header"]["shape"][1] + 1}), "bytes do not hold"),
+    (lambda f: f.update(hlen=len(json.dumps(f["header"])) + len(f["payload"]) + 64),
+     "bytes do not hold"),  # a header length that points past the file
+    (lambda f: f["header"].update(shape=f["header"]["shape"][:3]), "malformed"),
+    (lambda f: f["header"]["params"].pop(), "params records"),
+    (lambda f: f["header"]["params"][0].update(lengthscale=-1.0), "malformed"),
+    (lambda f: _shape(f, **{"0": -2, "1": -f["header"]["shape"][1]}), "malformed"),
+    (lambda f: f["header"]["params"][1].pop("mean"), "malformed"),
+    (lambda f: f.update(payload=f["payload"][:-8]), "bytes do not hold"),
+    (lambda f: f.update(payload=f["payload"] + b"xyz"), "bytes do not hold"),  # not whole f64s
+    (lambda f: f.update(header=b'{"shape": '), "unreadable"),
 ])
 def test_bundle_malformed_sealed_files(tmp_path, edit, match):
-    _, doc = _bundle_doc(tmp_path)
-    edit(doc)
+    header, payload = _split(_bundle_file(tmp_path).read_bytes())
+    f = {"header": header, "payload": payload, "hlen": None}
+    edit(f)
     p = tmp_path / "edited.json"
-    _write_sealed(doc, p)
-    for read in (4, 4 << 16):  # bytes per read block: one base64 quad, and the default
-        with mock.patch.object(sim4opt, "_B64_BLOCK", read // 4 * 3):
-            with pytest.raises(DataError, match=match):
-                sim4opt.load_bundle(p)
+    p.write_bytes(_sealed(f["header"], f["payload"], hlen=f["hlen"]))
+    with pytest.raises(DataError, match=match):
+        sim4opt.load_bundle(p)
 
 
 def test_bundle_corruption_is_data_error(tmp_path):
-    p, doc = _bundle_doc(tmp_path)
+    p = _bundle_file(tmp_path)
     data = p.read_bytes()
     flips = {
-        "payload": data.index(doc["states"][:16].encode()) + 5,
-        "params": data.index(b'"lengthscale":') + len(b'"lengthscale":') + 2,
-        "newline": len(data) - 1,
+        "header": data.index(b'"lengthscale": ') + len(b'"lengthscale": ') + 2,
+        "payload": len(data) - 32 - 5,
+        "digest": len(data) - 1,
     }
-    for name, at in flips.items():
+    for at in flips.values():
         bad = bytearray(data)
-        bad[at] = ord(" ") if name == "newline" else bad[at] ^ 0x01
+        bad[at] ^= 0x01
         p.write_bytes(bytes(bad))
         with pytest.raises(DataError, match="checksum"):
             sim4opt.load_bundle(p)
-    for cut in (0, 1, len(data) // 2, len(data) - 2):
+    for cut in (0, 1, 9, len(data) // 2, len(data) - 1):
         p.write_bytes(data[:cut])
         with pytest.raises(DataError):
             sim4opt.load_bundle(p)
-
-
-@pytest.mark.parametrize("key, bad", [("labels", b"*"), ("states", b"="), ("states", b".")])
-def test_bundle_checksum_is_checked_before_decoding(tmp_path, key, bad):
-    # an unsealed edit that also breaks the base64 is reported as a checksum
-    # mismatch, even though the pass decodes blocks before the digest is known
-    p, doc = _bundle_doc(tmp_path)
-    data = p.read_bytes()
-    at = data.index(doc[key][8:24].encode())
-    p.write_bytes(data[:at] + bad + data[at + 1:])
-    for read in (4, 4 << 16):
-        with mock.patch.object(sim4opt, "_B64_BLOCK", read // 4 * 3):
-            with pytest.raises(DataError, match="checksum"):
-                sim4opt.load_bundle(p)
-
-
-def _whole_document_bundle(tasks, config, path):
-    """The bundle as one json.dumps of the whole document, sealed as above."""
-    states = np.stack([t.states for t in tasks])
-    labels = np.stack([t.labels for t in tasks])
-    _write_sealed({
-        "version": sim4opt.BUNDLE_VERSION,
-        "config": config or {},
-        "params": [{"task_id": t.task_id, **dataclasses.asdict(t.params)} for t in tasks],
-        "shape": list(states.shape),
-        "states": base64.b64encode(states.astype("<f8").tobytes()).decode("ascii"),
-        "labels": base64.b64encode(labels.astype("<f8").tobytes()).decode("ascii"),
-    }, path)
 
 
 # config keys and strings that look like the bundle's own keys, or need escapes
@@ -419,27 +405,23 @@ _CONFIGS = st.none() | st.dictionaries(_KEYS, st.recursive(
 
 @settings(max_examples=60, deadline=None)
 @given(K=st.integers(1, 4), T=st.integers(1, 3), kappa=st.integers(1, 5), d=st.integers(1, 3),
-       block=st.sampled_from([3, 6, 24, 3 << 16]), read=st.sampled_from([4, 8, 12, 4 << 16]),
        config=_CONFIGS, seed=st.integers(0, 99))
-def test_bundle_bytes_match_the_whole_document_encoder(tmp_path_factory, K, T, kappa, d, block,
-                                                      read, config, seed):
-    # T * kappa * 8 bytes per task is often not a multiple of 3, and a small
-    # block splits each task's bytes across several base64 blocks; a small read
-    # block puts span starts, span ends and the digest inside blocks, on their
-    # edges and across them
+def test_bundle_round_trip_is_bit_exact(tmp_path_factory, K, T, kappa, d, config, seed):
     r = RngState(seed)
     states, labels = r.normal(size=(K, T, kappa, d)), r.normal(size=(K, T, kappa))
-    tasks = [sim4opt.SyntheticTask(k, gp.KernelParams(lengthscale=1.0 + k), states[k], labels[k])
-             for k in range(K)]
+    params = [gp.KernelParams(gp.MATERN52 if k % 2 else gp.RBF, *r.uniform(0.01, 3.0, size=3),
+                              mean=float(r.normal())) for k in range(K)]
+    tasks = [sim4opt.SyntheticTask(10 + k, params[k], states[k], labels[k]) for k in range(K)]
     work = tmp_path_factory.mktemp("bundle")
-    _whole_document_bundle(tasks, config, work / "whole.json")
-    with mock.patch.object(sim4opt, "_B64_BLOCK", block):
-        sim4opt.save_bundle(tasks, work / "streamed.json", config=config)
-    assert (work / "streamed.json").read_bytes() == (work / "whole.json").read_bytes()
-    with mock.patch.object(sim4opt, "_B64_BLOCK", read // 4 * 3):
-        back = sim4opt.load_bundle(work / "streamed.json")
+    for name in ("a.json", "b.json"):
+        sim4opt.save_bundle(tasks, work / name, config=config)
+    data = (work / "a.json").read_bytes()
+    assert data == (work / "b.json").read_bytes()
+    assert _split(data)[1] == labels.astype("<f8").tobytes() + states.astype("<f8").tobytes()
+    back = sim4opt.load_bundle(work / "a.json")
     assert np.array_equal(np.stack([t.states for t in back]), states)
     assert np.array_equal(np.stack([t.labels for t in back]), labels)
+    assert [(t.task_id, t.params) for t in back] == [(t.task_id, t.params) for t in tasks]
 
 
 def _traced_peak(fn, *args):
