@@ -17,16 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import gp, surrogate as sg
-from .dataio import (
-    DataError,
-    InvalidFraction,
-    OfflineDataset,
-    Scaler,
-    normalized_score,
-    select_bottom_fraction,
-    standardize,
-)
-from .errors import ConfigError
+from .dataio import OfflineDataset, Scaler, normalized_score, select_bottom_fraction, standardize
+from .errors import ConfigError, DataError, NumericalError
 from .matchloss import mse_loss
 from .metatrain import MetaConfig, TrainStats, finetune, meta_train
 from .numerics import RngState
@@ -35,10 +27,6 @@ from .sim4opt import Sim4OptConfig, SyntheticTask, generate_tasks
 
 METHODS = ("ga", "matchopt", "optbias", "optbias_pretrain", "optbias_random_gen")
 ORACLES = ("sphere", "ackley", "rastrigin", "shekel4")
-
-
-class IncompleteGrid(DataError):
-    pass
 
 
 # canonical Shekel m=10 tables
@@ -83,14 +71,14 @@ class Oracle:
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.dim:
-            raise gp.DimensionMismatch(f"query dim {X.shape[1]} != {self.dim}")
+            raise NumericalError(f"query dim {X.shape[1]} != {self.dim}")
         self.calls += X.shape[0]
         return self._value(X)
 
     def grad_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.dim:
-            raise gp.DimensionMismatch(f"query dim {X.shape[1]} != {self.dim}")
+            raise NumericalError(f"query dim {X.shape[1]} != {self.dim}")
         return self._grad(X)
 
     def _value(self, X):
@@ -144,7 +132,7 @@ def make_benchmark(
 ) -> BenchmarkInstance:
     """Uniform domain samples labeled by the oracle; subset = bottom fraction."""
     if n_full * frac < 2:
-        raise InvalidFraction(f"n_full*frac = {n_full * frac} < 2")
+        raise DataError(f"n_full*frac = {n_full * frac} < 2")
     lo, hi = o.domain[:, 0], o.domain[:, 1]
     X = rng.uniform(0.0, 1.0, size=(n_full, o.dim)) * (hi - lo) + lo
     z = o.eval_batch(X)
@@ -396,11 +384,8 @@ def pseudo_value_distribution(
     """
     if not tasks:
         raise ConfigError("no tasks")
-    top = []
-    for t in tasks:
-        for traj in t.trajectories:
-            top.append(traj.states[-1])  # sorted ascending: last = top label
-    raw = scaler.inverse_x(np.array(top))
+    # trajectories are sorted ascending: the last state holds the top label
+    raw = scaler.inverse_x(np.concatenate([t.states[:, -1] for t in tasks]))
     values = o.eval_batch(raw)
     y_min, y_max = y_bounds
     hi = y_max + 0.1 * (y_max - y_min)
@@ -426,9 +411,7 @@ def summarize(reports: list[ScoreReport]):
         for b in benchmarks:
             got = cells.get((m, b), [])
             if len(got) != len(seeds):
-                raise IncompleteGrid(
-                    f"cell ({m}, {b}) has {len(got)} seeds, expected {len(seeds)}"
-                )
+                raise DataError(f"cell ({m}, {b}) has {len(got)} seeds, expected {len(seeds)}")
     means = {(m, b): float(np.mean(cells[(m, b)])) for m in methods for b in benchmarks}
     stds = {(m, b): float(np.std(cells[(m, b)])) for m in methods for b in benchmarks}
     ranks: dict[tuple[str, str], float] = {}

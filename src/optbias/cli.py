@@ -30,10 +30,9 @@ from .dataio import (
     write_manifest,
     write_score_csv,
 )
-from .errors import ConfigError, DataError, NumericalError, OptBiasError
+from .errors import ConfigError, DataError, NumericalError
 from .numerics import RngState
 from .search import write_designs_csv
-from .sim4opt import InvalidDelta
 
 
 def _parse_bool(raw: str) -> bool:
@@ -166,7 +165,7 @@ def build_pipeline_config(cfg: dict) -> bench.PipelineConfig:
             node[name] = cfg[section][key]
     try:
         return _with_fields(bench.PipelineConfig(), values)
-    except (ValueError, InvalidDelta, sg.InvalidArchitecture) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -473,9 +472,6 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 4
-    except OptBiasError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

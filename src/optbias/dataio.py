@@ -19,27 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DataError
-
-
-class ParseError(DataError):
-    pass
-
-
-class EmptyDataset(DataError):
-    pass
-
-
-class InvalidFraction(DataError):
-    pass
-
-
-class DegenerateBounds(DataError):
-    pass
-
-
-class UnsupportedFormat(DataError):
-    pass
+from .errors import DataError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -102,7 +82,7 @@ def load_dataset(path) -> OfflineDataset:
         try:
             return _read_csv(fh)
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _read_csv(fh) -> OfflineDataset:
@@ -110,27 +90,27 @@ def _read_csv(fh) -> OfflineDataset:
     try:
         header = next(reader)
     except StopIteration:
-        raise EmptyDataset("file is empty") from None
+        raise DataError("file is empty") from None
     header = [h.strip() for h in header]
     if len(header) < 2 or header[-1] != "y":
-        raise ParseError(f"expected header x0,...,y; got {header}")
+        raise DataError(f"expected header x0,...,y; got {header}")
     d = len(header) - 1
     rows = []
     for rownum, row in enumerate(reader, start=1):
         if not row:
             continue
         if len(row) != d + 1:
-            raise ParseError(f"row {rownum}: expected {d + 1} fields, got {len(row)}")
+            raise DataError(f"row {rownum}: expected {d + 1} fields, got {len(row)}")
         try:
             vals = [float(v) for v in row]
         except ValueError as exc:
-            raise ParseError(f"row {rownum}: {exc}") from None
+            raise DataError(f"row {rownum}: {exc}") from None
         for col, v in enumerate(vals):
             if not np.isfinite(v):
-                raise ParseError(f"row {rownum}, column {header[col]}: non-finite value")
+                raise DataError(f"row {rownum}, column {header[col]}: non-finite value")
         rows.append(vals)
     if not rows:
-        raise EmptyDataset("header-only file")
+        raise DataError("header-only file")
     arr = np.array(rows, dtype=np.float64)
     return OfflineDataset(arr[:, :d], arr[:, d], tuple(header[:d]))
 
@@ -147,7 +127,7 @@ def save_dataset(ds: OfflineDataset, path) -> None:
 def standardize(ds: OfflineDataset) -> tuple[OfflineDataset, Scaler]:
     """Zero-mean unit-variance X and z (population std; constant dims -> std 1)."""
     if ds.n < 2:
-        raise EmptyDataset(f"need at least 2 rows to standardize, got {ds.n}")
+        raise DataError(f"need at least 2 rows to standardize, got {ds.n}")
     std = ds.X.std(axis=0)
     z_std = float(ds.z.std())
     scaler = Scaler(ds.X.mean(axis=0), np.where(std > 0.0, std, 1.0),
@@ -158,7 +138,7 @@ def standardize(ds: OfflineDataset) -> tuple[OfflineDataset, Scaler]:
 def select_bottom_fraction(ds: OfflineDataset, frac: float) -> OfflineDataset:
     """The ceil(frac*n) rows with smallest z (minimum 2), stable in original order."""
     if not (0.0 < frac <= 1.0):
-        raise InvalidFraction(f"frac must be in (0, 1], got {frac}")
+        raise DataError(f"frac must be in (0, 1], got {frac}")
     k = min(max(2, int(np.ceil(frac * ds.n))), ds.n)
     order = np.argsort(ds.z, kind="stable")[:k]
     keep = np.sort(order)
@@ -168,7 +148,7 @@ def select_bottom_fraction(ds: OfflineDataset, frac: float) -> OfflineDataset:
 def normalized_score(y: float, y_min: float, y_max: float) -> float:
     """(y - y_min) / (y_max - y_min); deliberately not clipped to [0, 1]."""
     if y_max <= y_min:
-        raise DegenerateBounds(f"y_max={y_max} <= y_min={y_min}")
+        raise DataError(f"y_max={y_max} <= y_min={y_min}")
     return (float(y) - y_min) / (y_max - y_min)
 
 
@@ -229,18 +209,18 @@ def read_sealed(path, magic: bytes, version: int, kind: str,
     The payload's length comes from the file's size; it is read into the array and
     hashed as it fills, and the digest is checked before the header is parsed. An
     older format (a file that starts with ``retired[0]``, reported as ``retired[1]``)
-    or version raises UnsupportedFormat; any other fault, DataError."""
+    or version raises NumericalError; any other fault, DataError."""
     with open(path, "rb") as fh:
         lead = fh.read(_LEAD.size)
         if lead.startswith(retired[0]):
-            raise UnsupportedFormat(f"{path}: {retired[1]}")
+            raise NumericalError(f"{path}: {retired[1]}")
         if lead[:4] != magic:
             raise DataError(f"{path}: not a {kind}")
         if len(lead) < _LEAD.size:
             raise DataError(f"{path}: {kind} truncated in its header")
         _, found, hlen = _LEAD.unpack(lead)
         if found != version:
-            raise UnsupportedFormat(f"{path}: unsupported {kind} version {found}")
+            raise NumericalError(f"{path}: unsupported {kind} version {found}")
         body = os.fstat(fh.fileno()).st_size - _DIGEST_BYTES
         head = fh.read(max(min(hlen, body - _LEAD.size), 0))
         values = np.empty(max(body - _LEAD.size - hlen, 0) // 8, "<f8")

@@ -1,7 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one class per exit code.
 
-The CLI maps these onto exit codes: ConfigError -> 2, NumericalError -> 3,
-DataError -> 4.
+A failure while running raises one of the three classes below, and the CLI
+maps each onto its exit code: ConfigError -> 2, NumericalError -> 3,
+DataError -> 4. Config and argument checks (the config dataclasses and
+their ``__post_init__``) raise ValueError; ``cli.build_pipeline_config``
+turns that into ConfigError, so it exits 2. No other module defines an
+exception class.
 """
 
 
@@ -10,7 +14,8 @@ class OptBiasError(Exception):
 
 
 class NumericalError(OptBiasError):
-    """Linear algebra or optimization failure."""
+    """Linear algebra, optimization or task-generation failure, an inconsistent
+    shape, or an unsupported bundle or checkpoint format."""
 
 
 class DataError(OptBiasError):
@@ -19,11 +24,3 @@ class DataError(OptBiasError):
 
 class ConfigError(OptBiasError):
     """Invalid configuration value or file."""
-
-
-class DimensionMismatch(NumericalError):
-    """Inputs whose feature dimension disagrees with a model's."""
-
-
-class ShapeMismatch(NumericalError):
-    """Arrays whose shapes disagree."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import OfflineDataset
-from .errors import DimensionMismatch, NumericalError
+from .errors import NumericalError
 from .numerics import cholesky_factor, cholesky_solve
 
 log = logging.getLogger(__name__)
@@ -25,10 +25,6 @@ RBF = "rbf"
 MATERN52 = "matern52"
 
 SQRT5 = np.sqrt(5.0)
-
-
-class EmptyGrid(NumericalError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ def kernel_matrix(p: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
-        raise DimensionMismatch(f"dim mismatch: {A.shape[1]} vs {B.shape[1]}")
+        raise NumericalError(f"dim mismatch: {A.shape[1]} vs {B.shape[1]}")
     return _kernel_from_sqdist(p.family, _sqdist(A, B), _hyper(p))
 
 
@@ -159,7 +155,7 @@ def posterior_mean_batch(g: GpModel, X: np.ndarray) -> np.ndarray:
 
 def _check_query(g: GpModel, X: np.ndarray) -> None:
     if X.shape[-1] != g.dim:
-        raise DimensionMismatch(f"query dim {X.shape[-1]} != train dim {g.dim}")
+        raise NumericalError(f"query dim {X.shape[-1]} != train dim {g.dim}")
 
 
 def _clamped_var(signal_variance, Ks: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -242,7 +238,7 @@ def log_marginal_likelihood(ds: OfflineDataset, p: KernelParams) -> float:
 def fit_hyperparams(ds: OfflineDataset, grid: list[KernelParams]) -> KernelParams:
     """Grid point maximizing the Gaussian marginal log-likelihood; ties -> first."""
     if not grid:
-        raise EmptyGrid("hyperparameter grid is empty")
+        raise NumericalError("hyperparameter grid is empty")
     best, best_mll = None, -np.inf
     for p in grid:
         mll = log_marginal_likelihood(ds, p)

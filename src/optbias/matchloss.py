@@ -26,14 +26,6 @@ from .errors import DataError, NumericalError
 from .numerics import RngState
 
 
-class TooFewPoints(DataError):
-    pass
-
-
-class EmptyBatch(NumericalError):
-    pass
-
-
 @dataclass(frozen=True)
 class PairBatch:
     starts: np.ndarray  # b x d
@@ -45,7 +37,7 @@ class PairBatch:
         ends = np.atleast_2d(np.asarray(self.ends, dtype=np.float64))
         dz = np.asarray(self.dz, dtype=np.float64).ravel()
         if starts.shape != ends.shape or starts.shape[0] != dz.shape[0]:
-            raise EmptyBatch(
+            raise NumericalError(
                 f"inconsistent pair batch: {starts.shape}, {ends.shape}, {dz.shape}"
             )
         object.__setattr__(self, "starts", starts)
@@ -76,7 +68,7 @@ DEFAULT_MODE = IntegralMode("quadrature", 4)
 def offline_pairs(ds: OfflineDataset, b: int, rng: RngState) -> PairBatch:
     """b uniform ordered pairs of distinct rows; dz = z_end - z_start."""
     if ds.n < 2:
-        raise TooFewPoints(f"need at least 2 rows, got {ds.n}")
+        raise DataError(f"need at least 2 rows, got {ds.n}")
     i = rng.integers(ds.n, size=b)
     j = rng.integers(ds.n - 1, size=b)
     j = np.where(j >= i, j + 1, j)  # uniform over rows distinct from i
@@ -114,7 +106,7 @@ def match_loss(
 ) -> tuple[float, np.ndarray]:
     """Mean squared gradient-matching residual and its flat-parameter gradient."""
     if pairs.size == 0:
-        raise EmptyBatch("empty pair batch")
+        raise NumericalError("empty pair batch")
     b = pairs.size
     if mode.kind == "exact":
         stacked = np.concatenate([pairs.starts, pairs.ends], axis=0)
@@ -139,7 +131,7 @@ def mse_loss(net, ds: OfflineDataset, batch_idx=None, params=None) -> tuple[floa
     """Supervised squared-error loss (the GA baseline objective) on batch norm statistics."""
     idx = np.arange(ds.n) if batch_idx is None else np.asarray(batch_idx)
     if idx.size == 0:
-        raise EmptyBatch("empty index batch")
+        raise NumericalError("empty index batch")
     pred, cache = sg.forward(net, ds.X[idx], params_override=params, train=True)
     resid = pred - ds.z[idx]
     loss = float(np.mean(resid**2))

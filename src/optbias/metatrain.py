@@ -15,9 +15,10 @@ import numpy as np
 
 from . import surrogate as sg
 from .dataio import OfflineDataset
-from .matchloss import DEFAULT_MODE, IntegralMode, PairBatch, TooFewPoints, match_loss, offline_pairs
+from .errors import DataError, NumericalError
+from .matchloss import DEFAULT_MODE, IntegralMode, PairBatch, match_loss, offline_pairs
 from .numerics import RngState
-from .sim4opt import EmptyTask, SyntheticTask, build_pairs
+from .sim4opt import SyntheticTask, build_pairs
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def meta_epoch(net, tasks, cfg: MetaConfig, rng: RngState, opt: sg.AdamState):
     (first-order) gradient at the fast weights; one Adam step at the outer lr.
     Returns the mean (pre_loss, post_loss) over the sampled tasks."""
     if not tasks:
-        raise EmptyTask("no tasks")
+        raise NumericalError("no tasks")
     idx = _sample_task_indices(len(tasks), cfg.tasks_per_batch, rng)
     total_grad = np.zeros_like(net.params)
     pres, posts = [], []
@@ -127,9 +128,7 @@ def finetune(net, ds: OfflineDataset, epochs: int, rng: RngState,
     stationary.
     """
     if ds.n < 2:
-        raise TooFewPoints(f"need at least 2 offline points, got {ds.n}")
-    if epochs == 0:
-        return net
+        raise DataError(f"need at least 2 offline points, got {ds.n}")
     opt = sg.AdamState.for_net(net)
     for _ in range(epochs):
         batch = offline_pairs(ds, batch_size, rng)

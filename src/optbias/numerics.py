@@ -15,7 +15,7 @@ import logging
 
 import numpy as np
 
-from .errors import NumericalError, ShapeMismatch
+from .errors import NumericalError
 
 log = logging.getLogger(__name__)
 
@@ -24,28 +24,16 @@ JITTER_MAX = 1e-4
 JITTER_FACTOR = 10.0
 
 
-class NotPositiveDefinite(NumericalError):
-    pass
-
-
-class NonSquare(NumericalError):
-    pass
-
-
-class InvalidRange(NumericalError):
-    pass
-
-
 def cholesky_factor(a: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     """Lower-triangular L with L @ L.T = a + jitter*I.
 
     If the factorization fails, jitter escalates geometrically from
     JITTER_START to JITTER_MAX; failure at JITTER_MAX raises
-    NotPositiveDefinite.
+    NumericalError.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquare(f"expected square matrix, got shape {a.shape}")
+        raise NumericalError(f"expected square matrix, got shape {a.shape}")
     n = a.shape[0]
     eye = np.eye(n)
     current = float(jitter)
@@ -55,7 +43,7 @@ def cholesky_factor(a: np.ndarray, jitter: float = 0.0) -> np.ndarray:
         except np.linalg.LinAlgError:
             nxt = JITTER_START if current == 0.0 else current * JITTER_FACTOR
             if nxt > JITTER_MAX:
-                raise NotPositiveDefinite(
+                raise NumericalError(
                     f"Cholesky failed at max jitter {JITTER_MAX:g} (n={n})"
                 ) from None
             log.debug("cholesky jitter escalated to %g", nxt)
@@ -67,9 +55,9 @@ def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     L = np.asarray(L, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ShapeMismatch(f"L must be square, got {L.shape}")
+        raise NumericalError(f"L must be square, got {L.shape}")
     if b.shape[0] != L.shape[0]:
-        raise ShapeMismatch(f"row mismatch: L is {L.shape}, b is {b.shape}")
+        raise NumericalError(f"row mismatch: L is {L.shape}, b is {b.shape}")
     from scipy.linalg import solve_triangular
 
     y = solve_triangular(L, b, lower=True)
@@ -95,7 +83,7 @@ class RngState:
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0, size=None):
         if lo > hi:
-            raise InvalidRange(f"lo={lo} > hi={hi}")
+            raise NumericalError(f"lo={lo} > hi={hi}")
         if lo == hi:
             return lo if size is None else np.full(size, lo)
         out = self._gen.uniform(lo, hi, size=size)

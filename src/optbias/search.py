@@ -13,10 +13,6 @@ from .errors import DataError
 from .numerics import RngState
 
 
-class EmptyPool(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     designs: np.ndarray  # k x d, standardized units
@@ -30,7 +26,7 @@ def init_candidates(
     """Score the pool with the surrogate, keep the top_k by predicted value
     (ties by index), then sample n_out uniformly without replacement."""
     if pool.n == 0:
-        raise EmptyPool("candidate pool is empty")
+        raise DataError("candidate pool is empty")
     if pool.n <= n_out:
         idx = np.arange(pool.n)
         return CandidateSet(pool.X.copy(), idx)

@@ -20,28 +20,12 @@ from itertools import chain
 import numpy as np
 
 from . import gp
-from .dataio import OfflineDataset, UnsupportedFormat, read_sealed, write_sealed
+from .dataio import OfflineDataset, read_sealed, write_sealed
 from .errors import DataError, NumericalError
 from .numerics import RngState, cholesky_solve
 
 DIVERGENCE_LIMIT = 1e6
 MAX_TASK_RETRIES = 3
-
-
-class InvalidDelta(NumericalError):
-    pass
-
-
-class NonFiniteState(NumericalError):
-    pass
-
-
-class TaskGenerationFailed(NumericalError):
-    pass
-
-
-class EmptyTask(NumericalError):
-    pass
 
 
 MODE_MEAN = "posterior_mean"
@@ -69,7 +53,7 @@ class Sim4OptConfig:
         if self.step_size <= 0 or self.ucb_beta < 0:
             raise ValueError("step_size must be positive and ucb_beta non-negative")
         if not (0.0 <= self.delta_frac < 1.0):
-            raise InvalidDelta(f"delta_frac must be in [0, 1), got {self.delta_frac}")
+            raise ValueError(f"delta_frac must be in [0, 1), got {self.delta_frac}")
         if self.evolution_mode not in (MODE_MEAN, MODE_UCB):
             raise ValueError(f"unknown evolution mode {self.evolution_mode!r}")
 
@@ -119,7 +103,7 @@ def sample_task_params(
 ) -> gp.KernelParams:
     """Lengthscale and signal variance drawn uniformly from base*(1 +/- delta)."""
     if not (0.0 <= delta_frac < 1.0):
-        raise InvalidDelta(f"delta_frac must be in [0, 1), got {delta_frac}")
+        raise ValueError(f"delta_frac must be in [0, 1), got {delta_frac}")
     ell = rng.uniform(base.lengthscale * (1 - delta_frac), base.lengthscale * (1 + delta_frac))
     var = rng.uniform(
         base.signal_variance * (1 - delta_frac), base.signal_variance * (1 + delta_frac)
@@ -210,7 +194,7 @@ def generate_tasks(
     at most MAX_TASK_RETRIES times.
     """
     if ds.n < 2:
-        raise EmptyTask(f"need at least 2 offline points, got {ds.n}")
+        raise DataError(f"need at least 2 offline points, got {ds.n}")
     n_tasks = cfg.n_functions
     rngs = [rng.split(i) for i in range(n_tasks)]
     tasks: list[SyntheticTask | None] = [None] * n_tasks
@@ -237,14 +221,14 @@ def generate_tasks(
             states = np.take_along_axis(states, order[..., None], axis=-2)
             for j, (i, model) in enumerate(fitted):
                 if diverged[j]:
-                    errors[i] = NonFiniteState("evolution diverged beyond the guard radius")
+                    errors[i] = NumericalError("evolution diverged beyond the guard radius")
                 else:
                     tasks[i] = SyntheticTask(i, model.params, states[j], labels[j])
         pending = [i for i in pending if tasks[i] is None]
         if not pending:
             return tasks
     i = pending[0]
-    raise TaskGenerationFailed(f"task {i} failed after {MAX_TASK_RETRIES} retries: {errors[i]}")
+    raise NumericalError(f"task {i} failed after {MAX_TASK_RETRIES} retries: {errors[i]}")
 
 
 def build_pairs(t: SyntheticTask, rng: RngState, count: int):
@@ -255,7 +239,7 @@ def build_pairs(t: SyntheticTask, rng: RngState, count: int):
     if count < 1:
         raise ValueError("count must be >= 1")
     if t.labels.size == 0 or t.kappa < 2:
-        raise EmptyTask(f"task {t.task_id} has no trajectory of 2 or more states")
+        raise NumericalError(f"task {t.task_id} has no trajectory of 2 or more states")
     ti = rng.integers(t.labels.shape[0], size=count)
     r = rng.integers(t.kappa - 1, size=count)
     return t.states[ti, r], t.states[ti, r + 1], t.labels[ti, r + 1] - t.labels[ti, r]
@@ -282,12 +266,9 @@ def save_bundle(tasks: list[SyntheticTask], path, config: dict | None = None) ->
 
 def load_bundle(path) -> list[SyntheticTask]:
     """Read a bundle written by save_bundle; tasks are views of the one payload
-    array. Raises TaskGenerationFailed for a JSON bundle or another version and
+    array. Raises NumericalError for a JSON bundle or another version and
     DataError for a malformed file or one whose sha256 does not match its bytes."""
-    try:
-        header, values = read_sealed(path, BUNDLE_MAGIC, BUNDLE_VERSION, "task bundle", _RETIRED)
-    except UnsupportedFormat as exc:
-        raise TaskGenerationFailed(str(exc)) from None
+    header, values = read_sealed(path, BUNDLE_MAGIC, BUNDLE_VERSION, "task bundle", _RETIRED)
     try:
         K, T, kappa, d = (int(v) for v in header["shape"])
         names = [f.name for f in fields(gp.KernelParams)]

@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .dataio import read_sealed, write_sealed
-from .errors import DataError, DimensionMismatch, NumericalError, ShapeMismatch
+from .errors import DataError, NumericalError
 from .numerics import RngState
 
 EPS = 1e-5
@@ -30,10 +30,6 @@ RUNNING_MOMENTUM = 0.9
 
 NORM_BATCH = "batch_stat"
 NORM_NONE = "none"
-
-
-class InvalidArchitecture(NumericalError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,13 +41,13 @@ class Architecture:
 
     def __post_init__(self):
         if not self.hidden or any(w < 1 for w in self.hidden):
-            raise InvalidArchitecture(f"bad hidden widths: {self.hidden}")
+            raise ValueError(f"bad hidden widths: {self.hidden}")
         if self.input_dim < 1:
-            raise InvalidArchitecture(f"bad input dim: {self.input_dim}")
+            raise ValueError(f"bad input dim: {self.input_dim}")
         if not (0.0 < self.slope < 1.0):
-            raise InvalidArchitecture(f"slope must be in (0, 1): {self.slope}")
+            raise ValueError(f"slope must be in (0, 1): {self.slope}")
         if self.norm not in (NORM_BATCH, NORM_NONE):
-            raise InvalidArchitecture(f"unknown norm: {self.norm}")
+            raise ValueError(f"unknown norm: {self.norm}")
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
 
     def layout(self) -> list[tuple[str, tuple[int, ...], int]]:
@@ -85,7 +81,7 @@ class SurrogateNet:
 
     def __init__(self, arch: Architecture, params: np.ndarray, norm_stats):
         if params.shape != (arch.n_params(),):
-            raise ShapeMismatch(
+            raise NumericalError(
                 f"params length {params.shape} != {arch.n_params()} for {arch}"
             )
         self.arch = arch
@@ -127,7 +123,7 @@ def _check_override(net: SurrogateNet, params_override):
         return net.params
     p = np.asarray(params_override, dtype=np.float64)
     if p.shape != net.params.shape:
-        raise ShapeMismatch(f"override length {p.shape} != {net.params.shape}")
+        raise NumericalError(f"override length {p.shape} != {net.params.shape}")
     return p
 
 
@@ -176,9 +172,9 @@ def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False)
     p = _check_override(net, params_override)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
-        raise DimensionMismatch("empty batch")
+        raise NumericalError("empty batch")
     if X.shape[1] != net.arch.input_dim:
-        raise DimensionMismatch(f"input dim {X.shape[1]} != {net.arch.input_dim}")
+        raise NumericalError(f"input dim {X.shape[1]} != {net.arch.input_dim}")
     folded = None if train and net.arch.norm == NORM_BATCH else _fold(net, p)
     h, layers = X, []
     for i in range(len(net.arch.hidden)):
@@ -211,7 +207,7 @@ def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarra
     p = cache["params"]
     dL = np.asarray(dL_dpred, dtype=np.float64).ravel()
     if dL.shape[0] != cache["X"].shape[0]:
-        raise ShapeMismatch("dL_dpred length does not match the cached batch")
+        raise NumericalError("dL_dpred length does not match the cached batch")
     grad = np.zeros_like(p)
 
     h = cache["h_last"]
@@ -264,8 +260,8 @@ def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray, params_override
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     V = np.atleast_2d(np.asarray(V, dtype=np.float64))
     if V.shape != X.shape or X.shape[1] != net.arch.input_dim:
-        raise ShapeMismatch(f"input {X.shape} and tangent {V.shape} need one shape "
-                            f"with {net.arch.input_dim} columns")
+        raise NumericalError(f"input {X.shape} and tangent {V.shape} need one shape "
+                             f"with {net.arch.input_dim} columns")
     folded = _fold(net, p)
     h, th, layers = X, V, []
     for Wf, bf, _, _ in folded:
@@ -322,7 +318,7 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grad: np.ndarray, lr: float, state: AdamState) -> np.ndarray:
     if params.shape != grad.shape:
-        raise ShapeMismatch(f"{params.shape} vs {grad.shape}")
+        raise NumericalError(f"{params.shape} vs {grad.shape}")
     state.t += 1
     state.m *= state.beta1
     state.m += (1.0 - state.beta1) * grad

@@ -5,7 +5,7 @@ import pytest
 
 from optbias import bench, gp, surrogate as sg
 from optbias.dataio import normalized_score, standardize
-from optbias.errors import ConfigError
+from optbias.errors import ConfigError, DataError
 from optbias.matchloss import EXACT
 from optbias.metatrain import finetune
 from optbias.numerics import RngState
@@ -226,6 +226,12 @@ def test_pseudo_value_distribution_counts():
     assert counts.sum() == n_designs
     assert len(edges) == len(counts) + 1
     assert 0.0 <= exceed <= 1.0
+    # reference: each trajectory's last (top-label) state, one at a time
+    top = np.array([traj.states[-1] for t in tasks for traj in t.trajectories])
+    values = b.oracle.eval_batch(scaler.inverse_x(top))
+    assert exceed == np.mean(values > float(b.offline_subset.z.max()))
+    clipped = np.clip(values, edges[0], edges[-1])
+    assert np.array_equal(counts, np.histogram(clipped, bins=edges)[0])
 
 
 def _report(method, benchmark, seed, p100):
@@ -272,7 +278,7 @@ def test_summarize_manual_grid():
 def test_summarize_incomplete_grid():
     reports = [_report("a", "x", 0, 0.5), _report("a", "x", 1, 0.6),
                _report("b", "x", 0, 0.7)]
-    with pytest.raises(bench.IncompleteGrid):
+    with pytest.raises(DataError, match=r"cell \(b, x\) has 1 seeds, expected 2"):
         bench.summarize(reports)
 
 

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from optbias.dataio import (
-    DegenerateBounds,
-    EmptyDataset,
-    InvalidFraction,
     OfflineDataset,
-    ParseError,
     _read_csv,
     load_dataset,
     normalized_score,
@@ -17,6 +13,7 @@ from optbias.dataio import (
     standardize,
     write_score_csv,
 )
+from optbias.errors import DataError
 
 
 def test_load_well_formed(tmp_path):
@@ -29,29 +26,29 @@ def test_load_well_formed(tmp_path):
 
 
 def test_load_rejects_nan_with_location():
-    with pytest.raises(ParseError, match="row 2"):
+    with pytest.raises(DataError, match="row 2, column x0: non-finite value"):
         _read_csv(io.StringIO("x0,y\n1,2\nNaN,3\n"))
 
 
 def test_load_header_only():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(DataError, match="header-only file"):
         _read_csv(io.StringIO("x0,y\n"))
 
 
 def test_load_bad_header():
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match=r"expected header x0,\.\.\.,y"):
         _read_csv(io.StringIO("a,b\n1,2\n"))
 
 
 def test_load_ragged_row():
-    with pytest.raises(ParseError, match="row 1"):
+    with pytest.raises(DataError, match="row 1: expected 3 fields, got 2"):
         _read_csv(io.StringIO("x0,x1,y\n1,2\n"))
 
 
 def test_load_rejects_non_utf8(tmp_path):
     p = tmp_path / "d.csv"
     p.write_bytes(b"x0,y\n1,2\n3,\xff4\n")
-    with pytest.raises(ParseError, match="UTF-8"):
+    with pytest.raises(DataError, match="not UTF-8 text"):
         load_dataset(p)
 
 
@@ -106,7 +103,7 @@ def test_standardize_inverse_round_trip():
 
 
 def test_standardize_needs_two_rows():
-    with pytest.raises(EmptyDataset):
+    with pytest.raises(DataError, match="need at least 2 rows to standardize, got 1"):
         standardize(OfflineDataset(np.zeros((1, 2)), np.zeros(1)))
 
 
@@ -131,7 +128,7 @@ def test_bottom_fraction_minimum_two():
 
 def test_bottom_fraction_invalid():
     ds = OfflineDataset(np.zeros((3, 1)), np.zeros(3))
-    with pytest.raises(InvalidFraction):
+    with pytest.raises(DataError, match=r"frac must be in \(0, 1\], got 0.0"):
         select_bottom_fraction(ds, 0.0)
 
 
@@ -151,7 +148,7 @@ def test_normalized_score_endpoints_and_midpoint():
 
 
 def test_normalized_score_degenerate():
-    with pytest.raises(DegenerateBounds):
+    with pytest.raises(DataError, match="y_max=2.0 <= y_min=2.0"):
         normalized_score(1.0, 2.0, 2.0)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from optbias import gp
 from optbias.dataio import OfflineDataset
+from optbias.errors import NumericalError
 from optbias.numerics import RngState
 
 
@@ -65,7 +66,7 @@ def test_kernel_matern52_formula():
 
 def test_kernel_dimension_mismatch():
     p = gp.KernelParams()
-    with pytest.raises(gp.DimensionMismatch):
+    with pytest.raises(NumericalError, match="dim mismatch: 1 vs 2"):
         k11(p, [0.0], [0.0, 1.0])
 
 
@@ -195,7 +196,7 @@ def test_fit_hyperparams_single_and_tie():
 
 def test_fit_hyperparams_empty_grid():
     ds = OfflineDataset(np.zeros((2, 1)), np.zeros(2))
-    with pytest.raises(gp.EmptyGrid):
+    with pytest.raises(NumericalError, match="hyperparameter grid is empty"):
         gp.fit_hyperparams(ds, [])
 
 

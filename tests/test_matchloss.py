@@ -4,6 +4,7 @@ import pytest
 from optbias import matchloss as ml
 from optbias import surrogate as sg
 from optbias.dataio import OfflineDataset
+from optbias.errors import DataError
 from optbias.numerics import RngState
 from conftest import fd_param_grad, small_net, toy_dataset
 
@@ -43,7 +44,7 @@ def test_offline_pairs_uniform_two_rows():
 
 def test_offline_pairs_too_few():
     ds = OfflineDataset(np.zeros((1, 2)), np.zeros(1))
-    with pytest.raises(ml.TooFewPoints):
+    with pytest.raises(DataError, match="need at least 2 rows, got 1"):
         ml.offline_pairs(ds, 4, RngState(0))
 
 

@@ -5,8 +5,9 @@ from optbias import metatrain as mt
 from optbias import sim4opt, surrogate as sg
 from optbias.dataio import OfflineDataset, standardize
 from optbias.matchloss import (
-    EXACT, IntegralMode, PairBatch, TooFewPoints, match_loss, offline_pairs,
+    EXACT, IntegralMode, PairBatch, match_loss, offline_pairs,
 )
+from optbias.errors import DataError, NumericalError
 from optbias.numerics import RngState
 from conftest import small_net, toy_dataset
 
@@ -113,7 +114,7 @@ def test_meta_train_alpha_zero_is_pooled_pretraining():
 def test_meta_epoch_empty_tasks():
     net = small_net()
     cfg = mt.MetaConfig()
-    with pytest.raises(sim4opt.EmptyTask):
+    with pytest.raises(NumericalError, match="no tasks"):
         mt.meta_epoch(net, [], cfg, RngState(0), sg.AdamState.for_net(net))
 
 
@@ -160,7 +161,7 @@ def test_finetune_zero_epochs_noop():
 def test_finetune_too_few_points():
     net = small_net()
     ds = OfflineDataset(np.zeros((1, 2)), np.zeros(1))
-    with pytest.raises(TooFewPoints):
+    with pytest.raises(DataError, match="need at least 2 offline points, got 1"):
         mt.finetune(net, ds, 5, RngState(0))
 
 
