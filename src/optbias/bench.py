@@ -11,7 +11,6 @@ diagnostics); a per-oracle call counter makes that auditable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -187,7 +186,6 @@ class ScoreReport:
     percentile100: float
     best_raw: float
     candidate_scores: np.ndarray
-    runtime_s: float
 
 
 def _search_bounds(b: BenchmarkInstance, scaler: Scaler) -> np.ndarray:
@@ -299,7 +297,6 @@ def run_method(
     oracle is queried solely to score the final candidates."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    t0 = time.perf_counter()
     rng = RngState(seed)
     std_ds, scaler = standardize(b.offline_subset)
 
@@ -333,7 +330,6 @@ def run_method(
         percentile100=float(scores.max()),
         best_raw=float(values.max()),
         candidate_scores=scores,
-        runtime_s=time.perf_counter() - t0,
     )
 
 
@@ -383,7 +379,7 @@ def pseudo_value_distribution(
     share of designs whose true value beats the offline subset's best.
     """
     if not tasks:
-        raise ConfigError("no tasks")
+        raise NumericalError("no tasks")
     # trajectories are sorted ascending: the last state holds the top label
     raw = scaler.inverse_x(np.concatenate([t.states[:, -1] for t in tasks]))
     values = o.eval_batch(raw)

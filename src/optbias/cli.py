@@ -254,17 +254,22 @@ def _check_grid(cfg: dict, jobs: int) -> None:
 
 
 def _bench_cell(payload):
-    cfg, method, oracle_name, seed = payload
+    cfg, label, method, overrides, oracle_name, seed = payload
     b = cfg["bench"]
     instance = bench.make_benchmark(bench.Oracle(oracle_name, b["dim"]), RngState(1_000_003),
                                     b["n_full"], b["frac"])
-    return bench.run_method(method, instance, build_pipeline_config(cfg), seed)
+    pcfg = build_pipeline_config({**cfg, "sim4opt": {**cfg["sim4opt"], **overrides}})
+    return replace(bench.run_method(method, instance, pcfg, seed), method=label)
 
 
-def _run_bench_grid(cfg, methods, jobs):
+def _run_grid(cfg, variants, jobs):
+    """Check the grid, then run every (variant, oracle, seed) cell; a variant is
+    (row label, method, [sim4opt] overrides). Reports come in variant order."""
+    jobs = cfg["run"]["jobs"] if jobs is None else jobs
+    _check_grid(cfg, jobs)
     # seconds of one ackley cell on 2 cores (ga 0.9): the longest cells go first
     cell_s = {"optbias": 5.3, "optbias_pretrain": 4.3, "optbias_random_gen": 3.6, "matchopt": 2.1}
-    payloads = [(cfg, m, o, s) for m in sorted(methods, key=lambda m: -cell_s.get(m, 0.0))
+    payloads = [(cfg, *v, o, s) for v in sorted(variants, key=lambda v: -cell_s.get(v[1], 0.0))
                 for o in cfg["bench"]["oracles"] for s in cfg["run"]["seeds"]]
     if jobs > 1:  # numpy reads these when it loads: spawned workers run one BLAS thread each
         parent_env = dict(os.environ)
@@ -277,44 +282,39 @@ def _run_bench_grid(cfg, methods, jobs):
             os.environ.update(parent_env)
     else:
         reports = [_bench_cell(p) for p in payloads]
-    reports.sort(key=lambda r: (r.method, r.benchmark, r.seed))
+    order = {label: i for i, (label, _, _) in enumerate(variants)}
+    reports.sort(key=lambda r: (order[r.method], r.benchmark, r.seed))
     return reports
 
 
-def _write_summary_csv(path, summary):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,benchmark,mean,std,rank,mean_rank\n")
-        for m in summary["methods"]:
-            for b in summary["benchmarks"]:
-                fh.write(
-                    f"{m},{b},{summary['mean'][(m, b)]!r},{summary['std'][(m, b)]!r},"
-                    f"{summary['rank'][(m, b)]!r},{summary['mean_rank'][m]!r}\n"
-                )
-
-
-def _score_rows(reports):
-    return [
+def _write_grid(cfg, args, reports, scores, summary, manifest):
+    """<scores> holds one row per cell, <summary> one per (variant, oracle)."""
+    out = _outdir(cfg, args.output_dir)
+    write_score_csv(out / scores, [
         {
             "method": r.method,
             "benchmark": r.benchmark,
             "seed": r.seed,
             "percentile100": r.percentile100,
             "best_raw": r.best_raw,
-            "runtime_s": 0.0,  # zeroed so artifacts are byte-reproducible
+            "runtime_s": 0.0,  # kept as a column of zeros, so scores.csv keeps its layout
         }
         for r in reports
-    ]
+    ])
+    s = bench.summarize(reports)
+    with open(out / summary, "w", encoding="utf-8", newline="") as fh:
+        fh.write("method,benchmark,mean,std,rank,mean_rank\n")
+        for m in s["methods"]:
+            for b in s["benchmarks"]:
+                fh.write(f"{m},{b},{s['mean'][(m, b)]!r},{s['std'][(m, b)]!r},"
+                         f"{s['rank'][(m, b)]!r},{s['mean_rank'][m]!r}\n")
+    write_manifest(out / manifest, _config_snapshot(cfg), cfg["run"]["seeds"], {})
+    print(f"wrote {out / scores} and {out / summary}")
 
 
 def cmd_bench(cfg, args) -> int:
-    jobs = cfg["run"]["jobs"] if args.jobs is None else args.jobs
-    _check_grid(cfg, jobs)
-    out = _outdir(cfg, args.output_dir)
-    reports = _run_bench_grid(cfg, cfg["bench"]["methods"], jobs)
-    write_score_csv(out / "scores.csv", _score_rows(reports))
-    _write_summary_csv(out / "summary.csv", bench.summarize(reports))
-    write_manifest(out / "bench_manifest.json", _config_snapshot(cfg), cfg["run"]["seeds"], {})
-    print(f"wrote {out / 'scores.csv'} and {out / 'summary.csv'}")
+    reports = _run_grid(cfg, [(m, m, {}) for m in sorted(cfg["bench"]["methods"])], args.jobs)
+    _write_grid(cfg, args, reports, "scores.csv", "summary.csv", "bench_manifest.json")
     return 0
 
 
@@ -335,42 +335,25 @@ def cmd_grad_error(cfg, args) -> int:
     return 0
 
 
-_ABLATE_AXES = ("meta", "generator", "gp", "K")
-# [sim4opt] overrides per labeled optbias run of the gp and K axes
-_ABLATE_OVERRIDES = {
-    "gp": {
-        "rbf": {},
-        "matern": {"kernel": "matern52"},
-        "ucb": {"evolution_mode": "ucb"},
-        "ls1.5": {"lengthscale": 1.5, "fit_gp": False},
-        "ls2.0": {"lengthscale": 2.0, "fit_gp": False},
-    },
-    "K": {f"K={k}": {"n_functions": k} for k in (8, 16, 32, 64, 128)},
+# ablation axis -> its variants: (row label, method, [sim4opt] overrides)
+_ABLATIONS = {
+    "meta": [(m, m, {}) for m in ("optbias", "optbias_pretrain")],
+    "generator": [(m, m, {}) for m in ("optbias", "optbias_random_gen")],
+    "gp": [(f"optbias[{label}]", "optbias", overrides) for label, overrides in (
+        ("rbf", {}),
+        ("matern", {"kernel": "matern52"}),
+        ("ucb", {"evolution_mode": "ucb"}),
+        ("ls1.5", {"lengthscale": 1.5, "fit_gp": False}),
+        ("ls2.0", {"lengthscale": 2.0, "fit_gp": False}),
+    )],
+    "K": [(f"optbias[K={k}]", "optbias", {"n_functions": k}) for k in (8, 16, 32, 64, 128)],
 }
 
 
 def cmd_ablate(cfg, args) -> int:
-    jobs = cfg["run"]["jobs"] if args.jobs is None else args.jobs
-    _check_grid(cfg, jobs)
-    out = _outdir(cfg, args.output_dir)
-    axis = args.axis
-    if axis == "meta":
-        reports = _run_bench_grid(cfg, ("optbias", "optbias_pretrain"), jobs)
-    elif axis == "generator":
-        reports = _run_bench_grid(cfg, ("optbias", "optbias_random_gen"), jobs)
-    elif axis in _ABLATE_OVERRIDES:
-        reports = []
-        for label, overrides in _ABLATE_OVERRIDES[axis].items():
-            vcfg = {**cfg, "sim4opt": {**cfg["sim4opt"], **overrides}}
-            for r in _run_bench_grid(vcfg, ("optbias",), jobs):
-                reports.append(replace(r, method=f"optbias[{label}]"))
-    else:
-        raise ConfigError(f"unknown ablation axis {axis!r}; choose from {_ABLATE_AXES}")
-    write_score_csv(out / f"ablate_{axis}.csv", _score_rows(reports))
-    _write_summary_csv(out / f"ablate_{axis}_summary.csv", bench.summarize(reports))
-    write_manifest(out / f"ablate_{axis}_manifest.json", _config_snapshot(cfg),
-                   cfg["run"]["seeds"], {})
-    print(f"wrote {out / f'ablate_{axis}.csv'}")
+    reports = _run_grid(cfg, _ABLATIONS[args.axis], args.jobs)
+    stem = f"ablate_{args.axis}"
+    _write_grid(cfg, args, reports, f"{stem}.csv", f"{stem}_summary.csv", f"{stem}_manifest.json")
     return 0
 
 
@@ -434,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default="0.01,0.1,0.5,1.0", type=_float_list)
 
     p = sub.add_parser("ablate", help="run one ablation axis")
-    p.add_argument("--axis", required=True, choices=_ABLATE_AXES)
+    p.add_argument("--axis", required=True, choices=_ABLATIONS)
     p.add_argument("--jobs", type=int)
 
     p = sub.add_parser("inspect", help="dump a bundle or checkpoint")

@@ -14,7 +14,7 @@ import pytest
 from optbias import bench, gp, sim4opt, surrogate as sg
 from optbias.bench import Oracle, PipelineConfig, make_benchmark, run_method
 from optbias.dataio import OfflineDataset, normalized_score, standardize
-from optbias.matchloss import EXACT, IntegralMode, PairBatch, match_loss, offline_pairs, path_integral
+from optbias.matchloss import EXACT, IntegralMode, match_loss, offline_pairs, path_integral
 from optbias.numerics import RngState
 
 BENCHMARKS = ("sphere", "ackley", "shekel4")

@@ -5,7 +5,7 @@ import pytest
 
 from optbias import bench, gp, surrogate as sg
 from optbias.dataio import normalized_score, standardize
-from optbias.errors import ConfigError, DataError
+from optbias.errors import ConfigError, DataError, NumericalError
 from optbias.matchloss import EXACT
 from optbias.metatrain import finetune
 from optbias.numerics import RngState
@@ -234,8 +234,16 @@ def test_pseudo_value_distribution_counts():
     assert np.array_equal(counts, np.histogram(clipped, bins=edges)[0])
 
 
+def test_pseudo_value_distribution_no_tasks():
+    # the same empty task list that meta_epoch rejects, with the same exit class
+    b = small_instance()
+    with pytest.raises(NumericalError, match="no tasks"):
+        bench.pseudo_value_distribution([], b.oracle, standardize(b.offline_subset)[1],
+                                        0.0, b.y_bounds)
+
+
 def _report(method, benchmark, seed, p100):
-    return bench.ScoreReport(method, benchmark, seed, p100, 0.0, np.array([p100]), 0.0)
+    return bench.ScoreReport(method, benchmark, seed, p100, 0.0, np.array([p100]))
 
 
 def test_summarize_single_method():

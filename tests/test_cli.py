@@ -636,6 +636,21 @@ def test_ablate_axis_k(tmp_path, cfg_file):
     assert labels == {f"optbias[K={k}]" for k in (8, 16, 32, 64, 128)}
 
 
+def test_ablate_axis_gp_rows_in_variant_order_under_jobs(tmp_path, cfg_file):
+    # all five variants share one pool; the rows come back in variant order
+    outs = []
+    for name, jobs in (("j1", "1"), ("j2", "2")):
+        out = tmp_path / name
+        assert cli.main(["--config", str(cfg_file), "--output-dir", str(out),
+                         "ablate", "--axis", "gp", "--jobs", jobs]) == 0
+        outs.append([(out / f).read_bytes() for f in ("ablate_gp.csv", "ablate_gp_summary.csv")])
+    assert outs[0] == outs[1]
+    rows = outs[0][0].decode().strip().splitlines()[1:]
+    labels = list(dict.fromkeys(r.split(",")[0] for r in rows))
+    assert labels == [f"optbias[{v}]" for v in ("rbf", "matern", "ucb", "ls1.5", "ls2.0")]
+    assert len(rows) == 5 * 1 * 2  # variants x oracles x seeds
+
+
 def test_inspect_missing_file(capsys):
     rc = cli.main(["inspect", "--file", "/no/such/file"])
     assert rc == 4

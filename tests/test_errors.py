@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import optbias
 from optbias.errors import ConfigError, DataError, NumericalError, OptBiasError
@@ -13,3 +15,19 @@ def test_one_exception_class_per_exit_code():
                if issubclass(obj, BaseException) and obj.__module__ == mod.__name__}
     assert defined == {OptBiasError, ConfigError, NumericalError, DataError}
     assert set(OptBiasError.__subclasses__()) == {ConfigError, NumericalError, DataError}
+
+
+def test_every_import_is_used():
+    root = Path(__file__).resolve().parent.parent
+    unused = []
+    for path in sorted([*(root / "src" / "optbias").glob("*.py"), *(root / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                # "import a.b" binds a; "import a as b" and "from a import b" bind b
+                if (name := alias.asname or alias.name.split(".")[0]) not in used:
+                    unused.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert unused == []

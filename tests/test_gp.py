@@ -4,7 +4,6 @@ import pytest
 from optbias import gp
 from optbias.dataio import OfflineDataset
 from optbias.errors import NumericalError
-from optbias.numerics import RngState
 
 
 def random_model(rng, n=10, d=2, family=gp.RBF, noise=0.1):

@@ -5,7 +5,7 @@ from optbias import metatrain as mt
 from optbias import sim4opt, surrogate as sg
 from optbias.dataio import OfflineDataset, standardize
 from optbias.matchloss import (
-    EXACT, IntegralMode, PairBatch, match_loss, offline_pairs,
+    EXACT, PairBatch, match_loss, offline_pairs,
 )
 from optbias.errors import DataError, NumericalError
 from optbias.numerics import RngState

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optbias import search, surrogate as sg
+from optbias import search
 from optbias.dataio import OfflineDataset
 from optbias.numerics import RngState
 from conftest import small_net
