@@ -3,6 +3,9 @@ both the method runners and the CLI subcommands call, the method runners, and
 the diagnostics (gradient-error-vs-data-fraction curve, pseudo-value
 distribution, score aggregation).
 
+Every method runs init -> stage_finetune -> stage_search; stage_finetune is
+the one place that knows each method's training recipe.
+
 All oracles are oriented for maximization: textbook minimization functions
 (sphere, ackley, rastrigin) are negated so higher is always better. The oracle
 is touched only to score final candidates (and in explicitly invoked
@@ -18,7 +21,6 @@ import numpy as np
 from . import gp, surrogate as sg
 from .dataio import OfflineDataset, Scaler, normalized_score, select_bottom_fraction, standardize
 from .errors import ConfigError, DataError, NumericalError
-from .matchloss import mse_loss
 from .metatrain import MetaConfig, TrainStats, finetune, meta_train
 from .numerics import RngState
 from .search import CandidateSet, gradient_search, init_candidates
@@ -209,16 +211,6 @@ def _fit_base_params(ds: OfflineDataset, cfg: PipelineConfig) -> gp.KernelParams
     return gp.fit_hyperparams(ds, gp.default_grid(base))
 
 
-def _train_supervised(net, ds: OfflineDataset, epochs: int, batch: int, rng: RngState,
-                      lr: float = 0.001):
-    opt = sg.AdamState.for_net(net)
-    for _ in range(epochs):
-        idx = rng.choice(ds.n, min(batch, ds.n))
-        _, grad = mse_loss(net, ds, idx)
-        sg.apply_update(net, grad, lr, opt)
-    return net
-
-
 EXPT_PARAM_RANGE = (0.1, 10.0)
 
 
@@ -271,11 +263,25 @@ def stage_meta_train(
     return net, meta_train(net, tasks, cfg.meta, RngState(seed).split(STREAM_META))
 
 
-def stage_finetune(net, std_ds: OfflineDataset, cfg: PipelineConfig, seed: int):
-    """Gradient matching on the offline pairs, in place."""
-    return finetune(net, std_ds, cfg.finetune_epochs, RngState(seed).split(STREAM_FT),
-                    lr=cfg.finetune_lr, batch_size=cfg.finetune_batch,
-                    mode=cfg.meta.integral_mode)
+BASELINE_LR = 1e-3  # the fine-tune lr of ga and matchopt
+
+
+def stage_finetune(
+    net, std_ds: OfflineDataset, cfg: PipelineConfig, seed: int, method: str = "optbias"
+):
+    """Train net in place on the offline data with the method's recipe: ga fits
+    squared error; matchopt warms the norm statistics once on the offline
+    inputs, then matches gradients; the optbias methods match gradients with
+    the [finetune] settings."""
+    mode = None if method == "ga" else cfg.meta.integral_mode
+    if method not in ("ga", "matchopt"):
+        return finetune(net, std_ds, cfg.finetune_epochs, RngState(seed).split(STREAM_FT),
+                        cfg.finetune_lr, cfg.finetune_batch, mode)
+    if method == "matchopt":
+        sg.forward(net, std_ds.X, train=True)
+    epochs = cfg.supervised_epochs if method == "ga" else cfg.matchopt_epochs
+    return finetune(net, std_ds, epochs, RngState(seed).split(STREAM_BASELINE), BASELINE_LR,
+                    cfg.batch_size, mode)
 
 
 def stage_search(
@@ -297,27 +303,15 @@ def run_method(
     oracle is queried solely to score the final candidates."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
-    rng = RngState(seed)
     std_ds, scaler = standardize(b.offline_subset)
-
     if method in ("ga", "matchopt"):
-        net = _make_net(std_ds.dim, cfg, rng.split(STREAM_NET))
-        baseline_rng = rng.split(STREAM_BASELINE)
-        if method == "ga":
-            _train_supervised(net, std_ds, cfg.supervised_epochs, cfg.batch_size, baseline_rng)
-        else:
-            # warm the norm statistics once on the offline inputs, then match
-            # gradients under the frozen statistics from a fresh net
-            sg.forward(net, std_ds.X, train=True)
-            finetune(net, std_ds, cfg.matchopt_epochs, baseline_rng, lr=0.001,
-                     batch_size=cfg.batch_size, mode=cfg.meta.integral_mode)
+        net = _make_net(std_ds.dim, cfg, RngState(seed).split(STREAM_NET))
     else:
         if method == "optbias_pretrain":
             cfg = replace(cfg, meta=replace(cfg.meta, inner_lr=0.0))
         tasks = stage_gen_tasks(std_ds, cfg, seed, random_gen=method == "optbias_random_gen")
         net, _ = stage_meta_train(std_ds.dim, tasks, cfg, seed)
-        stage_finetune(net, std_ds, cfg, seed)
-
+    stage_finetune(net, std_ds, cfg, seed, method)
     final = stage_search(net, std_ds, cfg, seed, _search_bounds(b, scaler))
     raw = scaler.inverse_x(final.designs)
     values = b.oracle.eval_batch(raw)
@@ -357,7 +351,8 @@ def grad_error_curve(
             sub = OfflineDataset(X_train[idx], z_train[idx])
             std_ds, scaler = standardize(sub)
             net = _make_net(o.dim, cfg, rng.split(1000 + fi))
-            _train_supervised(net, std_ds, cfg.supervised_epochs, cfg.batch_size, rng)
+            finetune(net, std_ds, cfg.supervised_epochs, rng, lr=BASELINE_LR,
+                     batch_size=cfg.batch_size, mode=None)
             g_hat = sg.input_grad_batch(net, scaler.transform_x(X_test))
             # map the gradient back to raw input/output units
             g_hat = g_hat * (scaler.z_std / scaler.std)[None, :]

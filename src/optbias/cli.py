@@ -340,7 +340,7 @@ _ABLATIONS = {
     "meta": [(m, m, {}) for m in ("optbias", "optbias_pretrain")],
     "generator": [(m, m, {}) for m in ("optbias", "optbias_random_gen")],
     "gp": [(f"optbias[{label}]", "optbias", overrides) for label, overrides in (
-        ("rbf", {}),
+        ("rbf", {"kernel": "rbf"}),
         ("matern", {"kernel": "matern52"}),
         ("ucb", {"evolution_mode": "ucb"}),
         ("ls1.5", {"lengthscale": 1.5, "fit_gp": False}),

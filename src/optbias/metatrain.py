@@ -1,5 +1,5 @@
-"""Training phases over synthetic tasks: first-order meta-learning and
-fine-tuning on the real offline data.
+"""Training phases: first-order meta-learning over synthetic tasks, and
+finetune, the one Adam loop over the real offline data.
 
 The meta-gradient is first-order: the outer loss is evaluated at the fast
 weights phi' = phi - alpha * grad l_i(phi) and its gradient (taken at phi') is
@@ -16,7 +16,7 @@ import numpy as np
 from . import surrogate as sg
 from .dataio import OfflineDataset
 from .errors import DataError, NumericalError
-from .matchloss import DEFAULT_MODE, IntegralMode, PairBatch, match_loss, offline_pairs
+from .matchloss import DEFAULT_MODE, IntegralMode, PairBatch, match_loss, mse_loss, offline_pairs
 from .numerics import RngState
 from .sim4opt import SyntheticTask, build_pairs
 
@@ -121,17 +121,19 @@ def meta_train(net, tasks, cfg: MetaConfig, rng: RngState) -> TrainStats:
 
 def finetune(net, ds: OfflineDataset, epochs: int, rng: RngState,
              lr: float = 0.01, batch_size: int = 128,
-             mode: IntegralMode = DEFAULT_MODE):
-    """Adam-driven gradient matching on real offline pairs.
-
-    Norm running statistics are frozen so the subsequent search field is
-    stationary.
-    """
+             mode: IntegralMode | None = DEFAULT_MODE):
+    """epochs Adam steps on the real offline data, in place. With an integral
+    mode each step matches gradients on batch_size offline pairs under frozen
+    norm running statistics, so the subsequent search field is stationary.
+    mode=None fits squared error on min(batch_size, n) distinct rows with batch
+    statistics, which moves the running statistics."""
     if ds.n < 2:
         raise DataError(f"need at least 2 offline points, got {ds.n}")
     opt = sg.AdamState.for_net(net)
     for _ in range(epochs):
-        batch = offline_pairs(ds, batch_size, rng)
-        _, grad = match_loss(net, batch, mode)
+        if mode is None:
+            _, grad = mse_loss(net, ds, rng.choice(ds.n, min(batch_size, ds.n)))
+        else:
+            _, grad = match_loss(net, offline_pairs(ds, batch_size, rng), mode)
         sg.apply_update(net, grad, lr, opt)
     return net

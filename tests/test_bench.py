@@ -116,6 +116,22 @@ def test_run_method_deterministic(method):
     assert np.array_equal(r1.candidate_scores, r2.candidate_scores)
 
 
+def test_run_method_scores_are_pinned():
+    # frozen reference: (percentile100, best_raw) of every method on the small
+    # sphere instance, seed 0; a refactor meant to keep behaviour keeps these
+    pinned = {
+        "ga": (0.29495949399958554, -58.638961497747616),
+        "matchopt": (0.295044503852099, -58.6322946103881),
+        "optbias": (0.2947336440503475, -58.65667375258871),
+        "optbias_pretrain": (0.29473364225218474, -58.65667389360941),
+        "optbias_random_gen": (0.2947123786535337, -58.6583414887513),
+    }
+    b = small_instance()
+    for method in bench.METHODS:
+        r = bench.run_method(method, b, SMALL, 0)
+        assert (r.percentile100, r.best_raw) == pytest.approx(pinned[method], rel=1e-12)
+
+
 def test_run_method_oracle_discipline():
     # the oracle is only touched to score the final candidate batch
     b = small_instance()
@@ -168,6 +184,23 @@ def _matchopt_by_hand(b, cfg, seed):
              lr=1e-3, batch_size=cfg.batch_size, mode=cfg.meta.integral_mode)
     final = bench.stage_search(net, std_ds, cfg, seed, bench._search_bounds(b, scaler))
     return _score(b, final.designs, scaler)
+
+
+def _ga_by_hand(b, cfg, seed):
+    """A fresh net, squared-error finetune at lr 1e-3, search: run_method's ga."""
+    std_ds, scaler = standardize(b.offline_subset)
+    net = bench._make_net(std_ds.dim, cfg, RngState(seed).split(bench.STREAM_NET))
+    finetune(net, std_ds, cfg.supervised_epochs, RngState(seed).split(bench.STREAM_BASELINE),
+             lr=1e-3, batch_size=cfg.batch_size, mode=None)
+    final = bench.stage_search(net, std_ds, cfg, seed, bench._search_bounds(b, scaler))
+    return _score(b, final.designs, scaler)
+
+
+def test_ga_is_a_fresh_net_plus_squared_error_finetune():
+    b = small_instance()
+    for seed in (0, 1):
+        report = bench.run_method("ga", b, SMALL, seed)
+        assert np.array_equal(report.candidate_scores, _ga_by_hand(b, SMALL, seed))
 
 
 def test_matchopt_is_warm_up_plus_finetune_in_the_configured_mode():

@@ -651,6 +651,25 @@ def test_ablate_axis_gp_rows_in_variant_order_under_jobs(tmp_path, cfg_file):
     assert len(rows) == 5 * 1 * 2  # variants x oracles x seeds
 
 
+def test_ablate_gp_rbf_row_runs_rbf_under_a_matern_config(tmp_path, monkeypatch):
+    p = tmp_path / "matern.ini"
+    p.write_text(SMALL_CFG.replace("fit_gp = false", "fit_gp = false\nkernel = matern52"))
+    cfg = cli.parse_config(str(p))
+    pcfgs = []
+
+    def run_method(method, b, pcfg, seed):
+        pcfgs.append(pcfg)
+        return bench.ScoreReport(method, b.oracle.name, seed, 0.0, 0.0, np.zeros(1))
+
+    monkeypatch.setattr(bench, "run_method", run_method)
+    variants = cli._ABLATIONS["gp"]
+    for variant in variants:
+        cli._bench_cell((cfg, *variant, "sphere", 0))
+    family = {label: pcfg.sim.base_params.family for (label, _, _), pcfg in zip(variants, pcfgs)}
+    assert family["optbias[rbf]"] == "rbf"
+    assert family["optbias[matern]"] == "matern52"
+
+
 def test_inspect_missing_file(capsys):
     rc = cli.main(["inspect", "--file", "/no/such/file"])
     assert rc == 4

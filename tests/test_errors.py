@@ -31,3 +31,16 @@ def test_every_import_is_used():
                 if (name := alias.asname or alias.name.split(".")[0]) not in used:
                     unused.append(f"{path.relative_to(root)}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_adam_state_is_made_only_by_the_two_training_loops():
+    # every method trains through metatrain.finetune; meta-training is the other loop
+    callers = set()
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "optbias").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "for_net"
+                        and ast.unparse(node.func.value).endswith("AdamState")):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"metatrain.meta_train", "metatrain.finetune"}

@@ -5,7 +5,7 @@ from optbias import metatrain as mt
 from optbias import sim4opt, surrogate as sg
 from optbias.dataio import OfflineDataset, standardize
 from optbias.matchloss import (
-    EXACT, PairBatch, match_loss, offline_pairs,
+    DEFAULT_MODE, EXACT, PairBatch, match_loss, mse_loss, offline_pairs,
 )
 from optbias.errors import DataError, NumericalError
 from optbias.numerics import RngState
@@ -151,11 +151,33 @@ def test_pretrain_loss_decreases():
     assert last < first
 
 
-def test_finetune_zero_epochs_noop():
+@pytest.mark.parametrize("mode", [DEFAULT_MODE, None], ids=["match", "squared_error"])
+def test_finetune_zero_epochs_noop(mode):
     net = small_net()
     before = net.params.copy()
-    mt.finetune(net, toy_dataset(), 0, RngState(0))
+    mt.finetune(net, toy_dataset(), 0, RngState(0), mode=mode)
     assert np.array_equal(net.params, before)
+
+
+def _supervised_reference(net, ds, epochs, batch, rng, lr):
+    """Reference ga training loop, written out by hand: squared error on
+    min(batch, n) distinct rows per Adam step."""
+    opt = sg.AdamState.for_net(net)
+    for _ in range(epochs):
+        idx = rng.choice(ds.n, min(batch, ds.n))
+        _, grad = mse_loss(net, ds, idx)
+        sg.apply_update(net, grad, lr, opt)
+    return net
+
+
+@pytest.mark.parametrize("batch", [8, 64])  # fewer and more rows than the 20 offline points
+def test_finetune_squared_error_is_the_supervised_loop(batch):
+    ds = toy_dataset()
+    got = mt.finetune(small_net(), ds, 7, RngState(5), lr=1e-3, batch_size=batch, mode=None)
+    want = _supervised_reference(small_net(), ds, 7, batch, RngState(5), 1e-3)
+    assert np.array_equal(got.params, want.params)
+    for (m0, v0), (m1, v1) in zip(want.norm_stats, got.norm_stats):
+        assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
 
 
 def test_finetune_too_few_points():
@@ -182,11 +204,16 @@ def test_finetune_reduces_offline_loss():
 
 
 def test_finetune_preserves_norm_stats():
+    # matching runs under the frozen statistics; squared error normalizes with
+    # batch statistics, so it moves them
     net = small_net()
     stats_before = [(m.copy(), v.copy()) for m, v in net.norm_stats]
     mt.finetune(net, toy_dataset(), 5, RngState(1), lr=0.01)
     for (m0, v0), (m1, v1) in zip(stats_before, net.norm_stats):
         assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
+    mt.finetune(net, toy_dataset(), 5, RngState(1), lr=0.01, mode=None)
+    for (m0, v0), (m1, v1) in zip(stats_before, net.norm_stats):
+        assert not np.array_equal(m0, m1) and not np.array_equal(v0, v1)
 
 
 def test_train_stats_csv(tmp_path):
