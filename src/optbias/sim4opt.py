@@ -124,11 +124,15 @@ def evolve(
     The c models share their training inputs. All walks move as one
     (c, 2, n, d) block, descent first. Each step computes one kernel block,
     uses it for the labels of the current states (the field value: posterior
-    mean, or UCB) and then, in place, for the step's gradient.
+    mean, or UCB) and then, in place, for the step's gradient. The block and
+    the scratch for its cross term are allocated once per call, and an RBF
+    kernel is computed in the distances' buffer.
 
     Returns states (c, n, 2M+1, d) and labels (c, n, 2M+1), each start's walk
     laid out [descent reversed | start | ascent], and a (c,) mask of the
     models whose walk left the guard radius; their rows are not meaningful.
+    The records are transposed views of step-major (2M+1, c, n, ...) buffers,
+    so that each step stores two contiguous blocks.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -149,12 +153,13 @@ def evolve(
     start = np.stack([X0, X0])
     signed_step = np.array([-step_size, step_size])[:, None, None]
     X = np.repeat(start[None], c, axis=0)
-    states = np.empty((c, n, 2 * M + 1, d))
-    labels = np.empty((c, n, 2 * M + 1))
+    states = np.empty((2 * M + 1, c, n, d))
+    labels = np.empty((2 * M + 1, c, n))
+    block, work = np.empty((2, c, 2, n, X_train.shape[0]))
     diverged = np.zeros(c, dtype=bool)
     for t in range(M + 1):
-        d2 = gp._sqdist(X, X_train)
-        K = gp._kernel_from_sqdist(family, d2, h)
+        d2 = gp._sqdist(X, X_train, out=block, work=work)
+        K, matern = gp._kernel_from_sqdist(family, d2, h)
         z = mean + (K @ alpha.swapaxes(-1, -2))[..., 0]
         if ucb:
             rows = K.reshape(c, 2 * n, -1)
@@ -162,11 +167,11 @@ def evolve(
             var = np.stack([gp._clamped_var(m.params.signal_variance, Ki, Ci)
                             for m, Ki, Ci in zip(models, rows, C)]).reshape(c, 2, n)
             z += beta * np.sqrt(var)
-        states[:, :, M - t], states[:, :, M + t] = X[:, 0], X[:, 1]
-        labels[:, :, M - t], labels[:, :, M + t] = z[:, 0], z[:, 1]
+        states[M - t], states[M + t] = X[:, 0], X[:, 1]
+        labels[M - t], labels[M + t] = z[:, 0], z[:, 1]
         if t == M:
             break
-        W = gp._grad_weights(family, K, d2, h)
+        W = gp._grad_weights(family, K, matern, h)
         if ucb:
             WC = np.stack([Wi * Ci.T.reshape(2, n, -1) for Wi, Ci in zip(W, C)])
             gvar = -2.0 * gp._grad_from_weights(X, WC, X_train)
@@ -181,7 +186,7 @@ def evolve(
         if bad.any():
             diverged |= bad
             X[diverged] = start  # keep the block finite; these rows are discarded
-    return states, labels, diverged
+    return states.transpose(1, 2, 0, 3), labels.transpose(1, 2, 0), diverged
 
 
 def generate_tasks(

@@ -146,20 +146,24 @@ def _fold(net: SurrogateNet, p: np.ndarray) -> list[tuple]:
 
 def _unfold_grad(net: SurrogateNet, grad, p, i: int, fold, dWf, dbf=0.0) -> None:
     """Write layer i's entries of grad from the gradient w.r.t. its folded
-    (W', b') by the chain rule; dbf=0 when the pass does not depend on b'."""
+    (W', b') by the chain rule; dbf=0 when the pass does not depend on b'.
+    dWf must be a fresh array: it is overwritten."""
     _, _, std, centered = fold
     scale = 1.0 if std is None else net.view(f"g{i}", p) / std
-    net.view(f"W{i}", grad)[:] = dWf * scale
-    net.view(f"b{i}", grad)[:] = dbf * scale
+    np.multiply(dWf, scale, out=net.view(f"W{i}", grad))
+    np.multiply(dbf, scale, out=net.view(f"b{i}", grad))
     if std is not None:
         net.view(f"s{i}", grad)[:] = dbf
-        dg = (net.view(f"W{i}", p) * dWf).sum(axis=0) + centered * dbf
-        net.view(f"g{i}", grad)[:] = dg / std
+        dg = np.multiply(dWf, net.view(f"W{i}", p), out=dWf).sum(axis=0)
+        dg += centered * dbf
+        np.divide(dg, std, out=net.view(f"g{i}", grad))
 
 
 def _leaky_mask(u: np.ndarray, slope: float) -> np.ndarray:
-    """np.where(u > 0.0, 1.0, slope) bit for bit, by a cheaper lookup in [slope, 1.0]."""
-    return np.array([slope, 1.0]).take((u > 0.0).view(np.uint8))
+    """np.where(u > 0.0, 1.0, slope) bit for bit (0 < slope < 1), by a compare, a
+    cast and a maximum, which are cheaper than np.where or a lookup."""
+    mask = (u > 0.0).astype(np.float64)
+    return np.maximum(mask, slope, out=mask)
 
 
 def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from optbias import gp
 from optbias import surrogate as sg
 from optbias.dataio import OfflineDataset
-from optbias.numerics import RngState
+from optbias.numerics import RngState, cholesky_solve
 
 
 @pytest.fixture
@@ -40,3 +41,33 @@ def fd_param_grad(loss_fn, params, h=1e-6):
         dn[k] -= h
         grad[k] = (loss_fn(up) - loss_fn(dn)) / (2.0 * h)
     return grad
+
+
+# UCB of one GP, row by row: the reference for sim4opt's batched UCB walk.
+
+def ucb(g, x, beta):
+    x = np.asarray(x, dtype=np.float64).ravel()
+    return float(ucb_batch(g, x[None, :], beta)[0])
+
+
+def ucb_batch(g, X, beta):
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+    return gp.posterior_mean_batch(g, X) + beta * np.sqrt(gp.posterior_var_batch(g, X))
+
+
+def ucb_grad_batch(g, X, beta):
+    """grad mu + beta * grad var / (2 sqrt var); sqrt term dropped below var 1e-12."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if beta == 0:
+        return gp.posterior_mean_grad_batch(g, X)
+    gp._check_query(g, X)
+    h = gp._hyper(g.params)
+    Ks, matern = gp._kernel_from_sqdist(g.params.family, gp._sqdist(X, g.X_train), h)
+    C = cholesky_solve(g.chol_L, Ks.T)  # n_train x n_query
+    var = gp._clamped_var(g.params.signal_variance, Ks, C)
+    W = gp._grad_weights(g.params.family, Ks, matern, h)
+    gm = gp._grad_from_weights(X, W * g.alpha, g.X_train)
+    # grad var_i = -2 sum_j C_ji grad_x k(x_i, x_j)
+    gvar = -2.0 * gp._grad_from_weights(X, W * C.T, g.X_train)
+    return gm + gp._ucb_scale(var, beta)[:, None] * gvar

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from optbias import gp
 from optbias.dataio import OfflineDataset
 from optbias.errors import NumericalError
+from conftest import ucb, ucb_grad_batch
 
 
 def random_model(rng, n=10, d=2, family=gp.RBF, noise=0.1):
@@ -61,6 +64,25 @@ def test_kernel_matern52_formula():
     s = np.sqrt(5) * r / 2.0
     want = 1.5 * (1 + s + s * s / 3.0) * np.exp(-s)
     assert k11(p, [0.0], [r]) == pytest.approx(want, rel=1e-12)
+
+
+# non-negative offsets: zero, subnormals, the extremes, +inf and any finite value
+_OFFSET = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                                     1e300, 1.7976931348623157e308, np.inf]),
+                    st.floats(0.0, 1e308, allow_subnormal=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 97)).flatmap(
+           lambda shape: arrays(np.float64, shape, elements=_OFFSET)),
+       st.integers(1, 97).flatmap(lambda n: arrays(np.float64, n, elements=_OFFSET)))
+def test_sq_offsets_are_the_broadcast_add_bit_for_bit(sa, sb):
+    with np.errstate(over="ignore", invalid="ignore"):  # +inf rows, and the BLAS's padding
+        want = (sa[..., None] + sb).tobytes()
+        assert gp._sq_offsets(sa, sb).tobytes() == want
+        assert gp._sq_offsets(sa[0], sb).tobytes() == (sa[0][:, None] + sb).tobytes()
+        out = np.empty(sa.shape + sb.shape)
+        assert gp._sq_offsets(sa, sb, out=out) is out and out.tobytes() == want
 
 
 def test_kernel_dimension_mismatch():
@@ -163,8 +185,8 @@ def test_ucb_composition():
     g, _, _ = random_model(rng, 10, 2)
     x = rng.standard_normal(2)
     want = gp.posterior_mean(g, x) + 2.0 * np.sqrt(gp.posterior_var_batch(g, x)[0])
-    assert gp.ucb(g, x, 2.0) == pytest.approx(want, rel=1e-12)
-    assert gp.ucb(g, x, 0.0) == pytest.approx(gp.posterior_mean(g, x), rel=1e-12)
+    assert ucb(g, x, 2.0) == pytest.approx(want, rel=1e-12)
+    assert ucb(g, x, 0.0) == pytest.approx(gp.posterior_mean(g, x), rel=1e-12)
 
 
 def test_ucb_grad_vs_finite_differences():
@@ -175,12 +197,12 @@ def test_ucb_grad_vs_finite_differences():
         x = rng.standard_normal(3)
         if gp.posterior_var_batch(g, x)[0] < 1e-6:
             continue
-        grad = gp.ucb_grad_batch(g, x[None, :], 1.5)[0]
+        grad = ucb_grad_batch(g, x[None, :], 1.5)[0]
         fd = np.zeros(3)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd[k] = (gp.ucb(g, x + e, 1.5) - gp.ucb(g, x - e, 1.5)) / (2 * h)
+            fd[k] = (ucb(g, x + e, 1.5) - ucb(g, x - e, 1.5)) / (2 * h)
         assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-8) <= 1e-4
 
 

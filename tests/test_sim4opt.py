@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from optbias import gp, sim4opt
 from optbias.errors import DataError, NumericalError
 from optbias.dataio import OfflineDataset, standardize
-from optbias.numerics import RngState
+from optbias.numerics import RngState, cholesky_solve
+from conftest import ucb_batch, ucb_grad_batch
 
 
 def offline_2d(n=12, seed=0):
@@ -91,10 +92,10 @@ def _per_task_walks(ds, params, cfg):
     model = gp.posterior(ds, params)
     if cfg.evolution_mode == sim4opt.MODE_UCB:
         def value(X):
-            return gp.ucb_batch(model, X, cfg.ucb_beta)
+            return ucb_batch(model, X, cfg.ucb_beta)
 
         def grad(X):
-            return gp.ucb_grad_batch(model, X, cfg.ucb_beta)
+            return ucb_grad_batch(model, X, cfg.ucb_beta)
     else:
         def value(X):
             return gp.posterior_mean_batch(model, X)
@@ -135,6 +136,100 @@ def test_generate_matches_per_task_walks(monkeypatch, family, mode):
         assert np.array_equal(t.labels, labels)
         for traj, s, z in zip(t.trajectories, states, labels):
             assert np.array_equal(traj.states, s) and np.array_equal(traj.labels, z)
+
+
+# A reference walk that allocates a fresh kernel block per step, builds the
+# offsets by a broadcast add and records task-major, with its own copies of
+# the gp kernel helpers. The per-task walk above goes through the same gp
+# helpers as evolve, so a change to them that moved a last bit would move
+# both sides of that test.
+
+def _reference_sqdist(A, B):
+    d2 = np.sum(A * A, axis=-1)[..., None] + np.sum(B * B, axis=1)[None, :]
+    d2 -= 2.0 * A @ B.T
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _reference_kernel_from_sqdist(family, d2, h):
+    if family == gp.RBF:
+        K = np.multiply(d2, -0.5)
+        K /= h.ls2
+        np.exp(K, out=K)
+        K *= h.signal_variance
+        return K
+    s = gp.SQRT5 * np.sqrt(d2) / h.lengthscale
+    return h.signal_variance * (1.0 + s + s * s / 3.0) * np.exp(-s)
+
+
+def _reference_grad_weights(family, K, d2, h):
+    if family == gp.RBF:
+        K /= -h.ls2
+        return K
+    s = gp.SQRT5 * np.sqrt(d2) / h.lengthscale
+    return -(5.0 * h.signal_variance / (3.0 * h.ls2)) * (1.0 + s) * np.exp(-s)
+
+
+def _reference_evolve(models, X0, steps, step_size, mode=sim4opt.MODE_MEAN, beta=0.0):
+    X0 = np.atleast_2d(np.asarray(X0, dtype=np.float64))
+    n, d = X0.shape
+    c, M = len(models), steps
+    family, X_train = models[0].params.family, models[0].X_train
+    h = gp._stacked_hyper([m.params for m in models], ndim=4)
+    alpha = np.stack([m.alpha for m in models])[:, None, None, :]
+    mean = np.array([m.params.mean for m in models])[:, None, None]
+    ucb = mode == sim4opt.MODE_UCB
+    start = np.stack([X0, X0])
+    signed_step = np.array([-step_size, step_size])[:, None, None]
+    X = np.repeat(start[None], c, axis=0)
+    states = np.empty((c, n, 2 * M + 1, d))
+    labels = np.empty((c, n, 2 * M + 1))
+    diverged = np.zeros(c, dtype=bool)
+    for t in range(M + 1):
+        d2 = _reference_sqdist(X, X_train)
+        K = _reference_kernel_from_sqdist(family, d2, h)
+        z = mean + (K @ alpha.swapaxes(-1, -2))[..., 0]
+        if ucb:
+            rows = K.reshape(c, 2 * n, -1)
+            C = [cholesky_solve(m.chol_L, Ki.T) for m, Ki in zip(models, rows)]
+            var = np.stack([gp._clamped_var(m.params.signal_variance, Ki, Ci)
+                            for m, Ki, Ci in zip(models, rows, C)]).reshape(c, 2, n)
+            z += beta * np.sqrt(var)
+        states[:, :, M - t], states[:, :, M + t] = X[:, 0], X[:, 1]
+        labels[:, :, M - t], labels[:, :, M + t] = z[:, 0], z[:, 1]
+        if t == M:
+            break
+        W = _reference_grad_weights(family, K, d2, h)
+        if ucb:
+            WC = np.stack([Wi * Ci.T.reshape(2, n, -1) for Wi, Ci in zip(W, C)])
+            gvar = -2.0 * gp._grad_from_weights(X, WC, X_train)
+        W *= alpha
+        grad = gp._grad_from_weights(X, W, X_train)
+        if ucb:
+            grad += gp._ucb_scale(var, beta)[..., None] * gvar
+        X = X + signed_step * grad
+        walk_axes = (1, 2, 3)
+        bad = ~np.isfinite(X).all(axis=walk_axes) | (
+            np.abs(X).max(axis=walk_axes) > sim4opt.DIVERGENCE_LIMIT)
+        if bad.any():
+            diverged |= bad
+            X[diverged] = start
+    return states, labels, diverged
+
+
+@pytest.mark.parametrize("family", [gp.RBF, gp.MATERN52])
+@pytest.mark.parametrize("mode", [sim4opt.MODE_MEAN, sim4opt.MODE_UCB])
+def test_generate_is_bit_equal_to_the_reference_walk(monkeypatch, family, mode):
+    ds = offline_2d(n=19)
+    monkeypatch.setattr(sim4opt, "CHUNK_BYTES", 3 * 2 * ds.n * ds.n * 8)  # 7 = 3 + 3 + 1
+    cfg = sim4opt.Sim4OptConfig(n_functions=7, evolve_steps=6, evolution_mode=mode,
+                                base_params=gp.KernelParams(family, 0.8, 1.2, 0.02))
+    tasks = sim4opt.generate_tasks(ds, cfg, RngState(15))
+    monkeypatch.setattr(sim4opt, "evolve", _reference_evolve)
+    want = sim4opt.generate_tasks(ds, cfg, RngState(15))
+    for t, w in zip(tasks, want, strict=True):
+        assert t.params == w.params
+        assert t.states.tobytes() == w.states.tobytes()
+        assert t.labels.tobytes() == w.labels.tobytes()
 
 
 def _poisoning(monkeypatch, poisoned_call: int, every_retry: bool):
@@ -225,7 +320,7 @@ def test_generate_label_consistency_ucb():
     tasks = sim4opt.generate_tasks(ds, cfg, RngState(4))
     model = gp.posterior(ds, tasks[0].params)
     for traj in tasks[0].trajectories:
-        re = gp.ucb_batch(model, traj.states, 2.0)
+        re = ucb_batch(model, traj.states, 2.0)
         assert np.abs(re - traj.labels).max() <= 1e-10
 
 

@@ -300,6 +300,81 @@ def test_leaky_mask_is_np_where_bit_for_bit(slope):
         assert got.tobytes() == want.tobytes()
 
 
+# Reference frozen-statistics passes: a lookup mask and an out-of-place chain
+# rule through the fold, in copies that share no helper with the module but
+# _fold.
+
+def _reference_leaky_mask(u, slope):
+    return np.array([slope, 1.0]).take((u > 0.0).view(np.uint8))
+
+
+def _reference_unfold_grad(net, grad, p, i, fold, dWf, dbf=0.0):
+    _, _, std, centered = fold
+    scale = 1.0 if std is None else net.view(f"g{i}", p) / std
+    net.view(f"W{i}", grad)[:] = dWf * scale
+    net.view(f"b{i}", grad)[:] = dbf * scale
+    if std is not None:
+        net.view(f"s{i}", grad)[:] = dbf
+        dg = (net.view(f"W{i}", p) * dWf).sum(axis=0) + centered * dbf
+        net.view(f"g{i}", grad)[:] = dg / std
+
+
+def _reference_frozen_passes(net, X, V, dpred, djvp, params_override):
+    """(pred, jvp, backward_params grad, backward_params_jvp grad) of the
+    reference frozen-statistics passes."""
+    p = net.params if params_override is None else params_override
+    folded = sg._fold(net, p)
+    h, th, layers = X, V, []
+    for Wf, bf, _, _ in folded:
+        u = h @ Wf
+        u += bf
+        tu = th @ Wf
+        mask = _reference_leaky_mask(u, net.arch.slope)
+        u *= mask
+        tu *= mask
+        layers.append((h, th, mask))
+        h, th = u, tu
+    pred = (h @ net.view("Wh", p) + net.view("bh", p)).ravel()
+    jvp = (th @ net.view("Wh", p)).ravel()
+    grad, grad_jvp = np.zeros_like(p), np.zeros_like(p)
+    net.view("Wh", grad)[:] = h.T @ dpred[:, None]
+    net.view("bh", grad)[:] = dpred.sum()
+    net.view("Wh", grad_jvp)[:] = th.T @ djvp[:, None]
+    dh = dpred[:, None] * net.view("Wh", p).ravel()[None, :]
+    dth = djvp[:, None] * net.view("Wh", p).ravel()[None, :]
+    for i in reversed(range(len(net.arch.hidden))):
+        a, ta, mask = layers[i]
+        du = dh * mask
+        _reference_unfold_grad(net, grad, p, i, folded[i], a.T @ du, du.sum(axis=0))
+        dth *= mask
+        _reference_unfold_grad(net, grad_jvp, p, i, folded[i], ta.T @ dth)
+        if i:
+            dh = du @ folded[i][0].T
+            dth = dth @ folded[i][0].T
+    return pred, jvp, grad, grad_jvp
+
+
+@pytest.mark.parametrize("norm", [sg.NORM_BATCH, sg.NORM_NONE])
+@pytest.mark.parametrize("rows", [1, 7, 64, 257])
+def test_frozen_passes_are_bit_equal_to_the_reference(norm, rows):
+    net = sg.init_net(sg.Architecture(4, (512, 128, 32), norm=norm), RngState(5))
+    r = np.random.default_rng(rows)
+    net.params = net.params + 0.05 * r.normal(size=net.params.shape)
+    net.norm_stats = [(r.normal(size=m.shape), r.uniform(0.2, 3.0, size=v.shape))
+                      for m, v in net.norm_stats]
+    X, V = r.normal(size=(rows, 4)), r.normal(size=(rows, 4))
+    dpred, djvp = r.normal(size=rows), r.normal(size=rows)
+    for p in (None, net.params + 0.1 * r.normal(size=net.params.shape)):
+        want = _reference_frozen_passes(net, X, V, dpred, djvp, p)
+        pred, cache = sg.forward(net, X, params_override=p)
+        jvp, jvp_cache = sg.forward_jvp(net, X, V, params_override=p)
+        got = (pred, jvp, sg.backward_params(net, cache, dpred),
+               sg.backward_params_jvp(net, jvp_cache, djvp))
+        for name, g, w in zip(("forward", "forward_jvp", "backward_params",
+                               "backward_params_jvp"), got, want):
+            assert g.tobytes() == w.tobytes(), (name, p is None)
+
+
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the heap policy is set through glibc's mallopt")
 def test_surrogate_passes_reuse_resident_buffers():
