@@ -69,18 +69,25 @@ class Oracle:
             self.domain = np.tile([0.0, 10.0], (4, 1))
             self.known_max = (np.array([4.0, 4.0, 4.0, 4.0]), None)
 
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
+    def sample(self, rng: RngState, n: int) -> np.ndarray:
+        """n points drawn uniformly from the domain, one row each."""
+        lo, hi = self.domain[:, 0], self.domain[:, 1]
+        return rng.uniform(0.0, 1.0, size=(n, self.dim)) * (hi - lo) + lo
+
+    def _query(self, X) -> np.ndarray:
+        """X as a 2-d f64 array whose rows have the oracle's dim."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.dim:
             raise NumericalError(f"query dim {X.shape[1]} != {self.dim}")
+        return X
+
+    def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        X = self._query(X)
         self.calls += X.shape[0]
         return self._value(X)
 
     def grad_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.dim:
-            raise NumericalError(f"query dim {X.shape[1]} != {self.dim}")
-        return self._grad(X)
+        return self._grad(self._query(X))
 
     def _value(self, X):
         if self.name == "sphere":
@@ -134,8 +141,7 @@ def make_benchmark(
     """Uniform domain samples labeled by the oracle; subset = bottom fraction."""
     if n_full * frac < 2:
         raise DataError(f"n_full*frac = {n_full * frac} < 2")
-    lo, hi = o.domain[:, 0], o.domain[:, 1]
-    X = rng.uniform(0.0, 1.0, size=(n_full, o.dim)) * (hi - lo) + lo
+    X = o.sample(rng, n_full)
     z = o.eval_batch(X)
     full = OfflineDataset(X, z)
     subset = select_bottom_fraction(full, frac)
@@ -315,8 +321,7 @@ def run_method(
     final = stage_search(net, std_ds, cfg, seed, _search_bounds(b, scaler))
     raw = scaler.inverse_x(final.designs)
     values = b.oracle.eval_batch(raw)
-    y_min, y_max = b.y_bounds
-    scores = np.array([normalized_score(v, y_min, y_max) for v in values])
+    scores = normalized_score(values, *b.y_bounds)
     return ScoreReport(
         method=method,
         benchmark=b.oracle.name,
@@ -340,10 +345,9 @@ def grad_error_curve(
     errs = {f: [] for f in fractions}
     for seed in seeds:
         rng = RngState(seed)
-        lo, hi = o.domain[:, 0], o.domain[:, 1]
-        X_train = rng.uniform(0.0, 1.0, size=(n_train, o.dim)) * (hi - lo) + lo
+        X_train = o.sample(rng, n_train)
         z_train = o.eval_batch(X_train)
-        X_test = rng.uniform(0.0, 1.0, size=(n_test, o.dim)) * (hi - lo) + lo
+        X_test = o.sample(rng, n_test)
         g_true = o.grad_batch(X_test)
         for fi, f in enumerate(fractions):
             k = max(2, int(round(f * n_train)))

@@ -23,13 +23,7 @@ from multiprocessing import get_context
 from pathlib import Path
 
 from . import bench, sim4opt, surrogate as sg
-from .dataio import (
-    content_hash,
-    load_dataset,
-    standardize,
-    write_manifest,
-    write_score_csv,
-)
+from .dataio import content_hash, load_dataset, standardize, write_csv, write_manifest
 from .errors import ConfigError, DataError, NumericalError
 from .numerics import RngState
 from .search import write_designs_csv
@@ -290,24 +284,15 @@ def _run_grid(cfg, variants, jobs):
 def _write_grid(cfg, args, reports, scores, summary, manifest):
     """<scores> holds one row per cell, <summary> one per (variant, oracle)."""
     out = _outdir(cfg, args.output_dir)
-    write_score_csv(out / scores, [
-        {
-            "method": r.method,
-            "benchmark": r.benchmark,
-            "seed": r.seed,
-            "percentile100": r.percentile100,
-            "best_raw": r.best_raw,
-            "runtime_s": 0.0,  # kept as a column of zeros, so scores.csv keeps its layout
-        }
-        for r in reports
-    ])
+    # runtime_s is kept as a column of zeros, so scores.csv keeps its layout
+    write_csv(out / scores, ["method", "benchmark", "seed", "percentile100", "best_raw",
+                             "runtime_s"],
+              ([r.method, r.benchmark, r.seed, r.percentile100, r.best_raw, 0.0]
+               for r in reports))
     s = bench.summarize(reports)
-    with open(out / summary, "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,benchmark,mean,std,rank,mean_rank\n")
-        for m in s["methods"]:
-            for b in s["benchmarks"]:
-                fh.write(f"{m},{b},{s['mean'][(m, b)]!r},{s['std'][(m, b)]!r},"
-                         f"{s['rank'][(m, b)]!r},{s['mean_rank'][m]!r}\n")
+    write_csv(out / summary, ["method", "benchmark", "mean", "std", "rank", "mean_rank"],
+              ([m, b, s["mean"][(m, b)], s["std"][(m, b)], s["rank"][(m, b)],
+                s["mean_rank"][m]] for m in s["methods"] for b in s["benchmarks"]))
     write_manifest(out / manifest, _config_snapshot(cfg), cfg["run"]["seeds"], {})
     print(f"wrote {out / scores} and {out / summary}")
 
@@ -325,10 +310,7 @@ def cmd_grad_error(cfg, args) -> int:
     oracle = bench.Oracle(args.oracle, 4 if args.oracle == "shekel4" else cfg["bench"]["dim"])
     rows = bench.grad_error_curve(oracle, args.fractions, pcfg, seeds)
     path = out / "grad_error.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("fraction,mean_grad_error,std\n")
-        for f, mean, std in rows:
-            fh.write(f"{f!r},{mean!r},{std!r}\n")
+    write_csv(path, ["fraction", "mean_grad_error", "std"], rows)
     write_manifest(out / "grad_error_manifest.json", _config_snapshot(cfg), seeds, {},
                    {"oracle": args.oracle, "fractions": args.fractions})
     print(f"wrote {path}")

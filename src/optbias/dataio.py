@@ -1,6 +1,7 @@
 """Offline dataset model: CSV persistence, standardization, low-value subset
 selection, normalized scoring, and the sealed f64 files that hold task bundles
-and checkpoints.
+and checkpoints. write_csv is the one CSV writer: every CSV the package writes
+goes through it, and no other module imports csv.
 
 CSV schema: header ``x0,x1,...,x{d-1},y``, UTF-8, '.' decimal, one design per
 row. Standardization uses the population (not sample) standard deviation;
@@ -116,12 +117,20 @@ def _read_csv(fh) -> OfflineDataset:
 
 
 def save_dataset(ds: OfflineDataset, path) -> None:
+    names = ds.names or tuple(f"x{i}" for i in range(ds.dim))
+    write_csv(path, [*names, "y"], np.column_stack([ds.X, ds.z]))
+
+
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer: a header row, then one row per item of ``rows``, in
+    csv's default excel dialect (rows end in CRLF). A float cell, numpy's
+    included, is written as repr(float(v)), which reads back bit for bit;
+    every other cell as str(v)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        names = ds.names or tuple(f"x{i}" for i in range(ds.dim))
-        writer.writerow(list(names) + ["y"])
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.X[i]] + [repr(float(ds.z[i]))])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                          for v in row] for row in rows)
 
 
 def standardize(ds: OfflineDataset) -> tuple[OfflineDataset, Scaler]:
@@ -145,27 +154,12 @@ def select_bottom_fraction(ds: OfflineDataset, frac: float) -> OfflineDataset:
     return OfflineDataset(ds.X[keep], ds.z[keep], ds.names)
 
 
-def normalized_score(y: float, y_min: float, y_max: float) -> float:
-    """(y - y_min) / (y_max - y_min); deliberately not clipped to [0, 1]."""
+def normalized_score(y, y_min: float, y_max: float):
+    """(y - y_min) / (y_max - y_min) for a value or an array of them;
+    deliberately not clipped to [0, 1]."""
     if y_max <= y_min:
         raise DataError(f"y_max={y_max} <= y_min={y_min}")
-    return (float(y) - y_min) / (y_max - y_min)
-
-
-SCORE_FIELDS = ("method", "benchmark", "seed", "percentile100", "best_raw", "runtime_s")
-
-
-def write_score_csv(path, rows: list[dict]) -> None:
-    """Score report CSV: method,benchmark,seed,percentile100,best_raw,runtime_s."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(SCORE_FIELDS), extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row[k]) for k in SCORE_FIELDS})
-
-
-def _fmt(v):
-    return repr(float(v)) if isinstance(v, (float, np.floating)) else v
+    return (y - y_min) / (y_max - y_min)
 
 
 def content_hash(path) -> str:

@@ -213,12 +213,10 @@ def _ucb_scale(var: np.ndarray, beta: float) -> np.ndarray:
 
 
 def log_marginal_likelihood(ds: OfflineDataset, p: KernelParams) -> float:
-    K = kernel_matrix(p, ds.X, ds.X)
-    L = cholesky_factor(K + p.noise_variance * np.eye(ds.n))
-    resid = ds.z - p.mean
-    alpha = cholesky_solve(L, resid)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return float(-0.5 * resid @ alpha - 0.5 * logdet - 0.5 * ds.n * np.log(2.0 * np.pi))
+    g = posterior(ds, p)
+    logdet = 2.0 * np.sum(np.log(np.diag(g.chol_L)))
+    return float(-0.5 * (ds.z - p.mean) @ g.alpha - 0.5 * logdet
+                 - 0.5 * ds.n * np.log(2.0 * np.pi))
 
 
 def fit_hyperparams(ds: OfflineDataset, grid: list[KernelParams]) -> KernelParams:

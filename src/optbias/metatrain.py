@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import surrogate as sg
-from .dataio import OfflineDataset
+from .dataio import OfflineDataset, write_csv
 from .errors import DataError, NumericalError
 from .matchloss import DEFAULT_MODE, IntegralMode, PairBatch, match_loss, mse_loss, offline_pairs
 from .numerics import RngState
@@ -50,10 +50,8 @@ class TrainStats:
         self.post_loss.append(post)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("epoch,mean_pre_loss,mean_post_loss\n")
-            for row in zip(self.epoch, self.pre_loss, self.post_loss):
-                fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        write_csv(path, ["epoch", "mean_pre_loss", "mean_post_loss"],
+                  zip(self.epoch, self.pre_loss, self.post_loss))
 
 
 def _task_batch(t: SyntheticTask, rng: RngState, count: int) -> PairBatch:

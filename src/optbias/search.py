@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import surrogate as sg
-from .dataio import OfflineDataset
+from .dataio import OfflineDataset, write_csv
 from .errors import DataError
 from .numerics import RngState
 
@@ -76,14 +75,8 @@ def gradient_search(
 
 def write_designs_csv(path, c: CandidateSet, steps_taken: int, names=None) -> None:
     """Designs CSV: dataset schema columns plus provenance,steps_taken,flagged."""
-    d = c.designs.shape[1]
-    cols = list(names) if names else [f"x{i}" for i in range(d)]
+    cols = list(names) if names else [f"x{i}" for i in range(c.designs.shape[1])]
     flagged = c.flagged if c.flagged is not None else np.zeros(len(c.provenance), dtype=bool)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols + ["provenance", "steps_taken", "flagged"])
-        for i in range(c.designs.shape[0]):
-            writer.writerow(
-                [repr(float(v)) for v in c.designs[i]]
-                + [int(c.provenance[i]), steps_taken, int(flagged[i])]
-            )
+    write_csv(path, cols + ["provenance", "steps_taken", "flagged"],
+              ([*x, int(p), steps_taken, int(f)]
+               for x, p, f in zip(c.designs, c.provenance, flagged)))

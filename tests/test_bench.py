@@ -35,6 +35,19 @@ def test_oracle_validation():
         bench.Oracle("shekel4", 3)
 
 
+def test_oracle_sample_and_query_check():
+    o = bench.Oracle("ackley", 3)
+    lo, hi = o.domain[:, 0], o.domain[:, 1]
+    want = RngState(4).uniform(0.0, 1.0, size=(50, 3)) * (hi - lo) + lo
+    X = o.sample(RngState(4), 50)
+    assert X.tobytes() == want.tobytes() and ((lo <= X) & (X <= hi)).all()
+    assert o.eval_batch(X[0]).shape == (1,) and o.grad_batch(X[0]).shape == (1, 3)
+    for query in (o.eval_batch, o.grad_batch):
+        with pytest.raises(NumericalError, match="query dim 2 != 3"):
+            query(np.zeros((4, 2)))
+    assert o.calls == 1
+
+
 def test_oracle_known_optima():
     origin = np.zeros((1, 4))
     sphere = bench.Oracle("sphere", 4)

@@ -1,7 +1,10 @@
+import csv
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optbias.dataio import (
     OfflineDataset,
@@ -11,7 +14,7 @@ from optbias.dataio import (
     save_dataset,
     select_bottom_fraction,
     standardize,
-    write_score_csv,
+    write_csv,
 )
 from optbias.errors import DataError
 
@@ -152,12 +155,63 @@ def test_normalized_score_degenerate():
         normalized_score(1.0, 2.0, 2.0)
 
 
+def test_normalized_score_of_an_array_is_the_scalar_score_bit_for_bit():
+    values = np.random.default_rng(3).standard_normal(257) * 1e3
+    want = np.array([(float(v) - -7.25) / (9.5 - -7.25) for v in values])
+    assert normalized_score(values, -7.25, 9.5).tobytes() == want.tobytes()
+    with pytest.raises(DataError, match="y_max=2.0 <= y_min=2.0"):
+        normalized_score(values, 2.0, 2.0)
+
+
 def test_write_score_csv(tmp_path):
     p = tmp_path / "scores.csv"
-    write_score_csv(p, [{
-        "method": "ga", "benchmark": "sphere", "seed": 0,
-        "percentile100": 0.5, "best_raw": -1.0, "runtime_s": 0.0,
-    }])
+    write_csv(p, ["method", "benchmark", "seed", "percentile100", "best_raw", "runtime_s"],
+              [["ga", "sphere", 0, 0.5, np.float64(-1.0), 0.0]])
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "method,benchmark,seed,percentile100,best_raw,runtime_s"
     assert lines[1].startswith("ga,sphere,0,0.5,")
+    assert p.read_bytes() == (b"method,benchmark,seed,percentile100,best_raw,runtime_s\r\n"
+                              b"ga,sphere,0,0.5,-1.0,0.0\r\n")
+
+
+_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300,
+                     -1e300, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+# csv quotes commas and quotes; line breaks are left out so rows can be counted by CRLF
+_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=6)
+# csv itself writes str(v), which is repr(float(v)) for an f64 but drops bits of an f32
+_F32 = st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+_CELL = st.one_of(_FLOAT, _FLOAT.map(np.float64), _F32, st.integers(), _TEXT)
+
+
+@st.composite
+def _table(draw):
+    width = draw(st.integers(1, 4))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width))
+    return header, draw(st.lists(st.lists(_CELL, min_size=width, max_size=width), max_size=6))
+
+
+def _bits(v) -> bytes:
+    return struct.pack("<d", float(v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table())
+def test_write_csv_round_trips_every_cell(tmp_path_factory, table):
+    header, rows = table
+    p = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(p, header, rows)
+    raw = p.read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n") == len(rows) + 1
+    with open(p, encoding="utf-8", newline="") as fh:
+        back = list(csv.reader(fh))
+    assert back[0] == header and len(back) == len(rows) + 1
+    for row, got in zip(rows, back[1:]):
+        for v, cell in zip(row, got, strict=True):
+            if isinstance(v, (float, np.floating)):
+                assert _bits(cell) == _bits(v)
+            elif isinstance(v, int):
+                assert int(cell) == v
+            else:
+                assert cell == v

@@ -44,3 +44,23 @@ def test_adam_state_is_made_only_by_the_two_training_loops():
                         and ast.unparse(node.func.value).endswith("AdamState")):
                     callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == {"metatrain.meta_train", "metatrain.finetune"}
+
+
+def _opens_for_writing(node) -> bool:
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+
+def test_only_dataio_imports_csv_or_opens_files_for_writing():
+    # dataio owns every file format the package writes; every CSV goes through write_csv
+    found = []
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "optbias").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            imports_csv = (isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+                           or isinstance(node, ast.ImportFrom) and node.module == "csv")
+            if imports_csv or _opens_for_writing(node):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert found and {f.split(":")[0] for f in found} == {"dataio"}

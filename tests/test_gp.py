@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from optbias import gp
 from optbias.dataio import OfflineDataset
 from optbias.errors import NumericalError
+from optbias.numerics import cholesky_factor, cholesky_solve
 from conftest import ucb, ucb_grad_batch
 
 
@@ -213,6 +214,27 @@ def test_fit_hyperparams_single_and_tie():
     assert gp.fit_hyperparams(ds, [p]) is p
     p2 = gp.KernelParams("rbf", 2.0, 1.0)
     assert gp.fit_hyperparams(ds, [p, p2]) is p
+
+
+def _reference_mll(ds, p):
+    """The likelihood from its own kernel matrix and Cholesky, without gp.posterior."""
+    K = gp.kernel_matrix(p, ds.X, ds.X)
+    L = cholesky_factor(K + p.noise_variance * np.eye(ds.n))
+    resid = ds.z - p.mean
+    alpha = cholesky_solve(L, resid)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    return float(-0.5 * resid @ alpha - 0.5 * logdet - 0.5 * ds.n * np.log(2.0 * np.pi))
+
+
+@pytest.mark.parametrize("family", [gp.RBF, gp.MATERN52])
+def test_log_marginal_likelihood_is_bit_equal_to_the_reference(family):
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((40, 3))
+    ds = OfflineDataset(X, rng.standard_normal(40))
+    dup = OfflineDataset(np.concatenate([X[:5], X[:5]]), rng.standard_normal(10))
+    for data, noise in ((ds, 0.01), (dup, 0.0)):  # duplicate rows, no noise: jitter
+        for p in gp.default_grid(gp.KernelParams(family, 1.0, 1.0, noise, 0.3)):
+            assert gp.log_marginal_likelihood(data, p) == _reference_mll(data, p)
 
 
 def test_fit_hyperparams_empty_grid():
