@@ -391,36 +391,15 @@ def pseudo_value_distribution(
     return edges, counts, exceed
 
 
-def summarize(reports: list[ScoreReport]):
-    """Per method x benchmark mean +/- population std, per-benchmark average
-    ranks (ties share the mean rank), and mean rank per method."""
+def summarize(labels: list[str], p100: np.ndarray):
+    """The summary of a [variant, oracle, seed] array of percentile100 scores:
+    the labels in sorted order, then in their order the mean and population std
+    over seeds [label, oracle], the per-oracle average ranks (ties share the
+    mean rank) and each label's mean rank over oracles."""
     from scipy.stats import rankdata  # here, not at the top: scipy.stats is slow to import
 
-    methods = sorted({r.method for r in reports})
-    benchmarks = sorted({r.benchmark for r in reports})
-    seeds = sorted({r.seed for r in reports})
-    cells: dict[tuple[str, str], list[float]] = {}
-    for r in reports:
-        cells.setdefault((r.method, r.benchmark), []).append(r.percentile100)
-    for m in methods:
-        for b in benchmarks:
-            got = cells.get((m, b), [])
-            if len(got) != len(seeds):
-                raise DataError(f"cell ({m}, {b}) has {len(got)} seeds, expected {len(seeds)}")
-    means = {(m, b): float(np.mean(cells[(m, b)])) for m in methods for b in benchmarks}
-    stds = {(m, b): float(np.std(cells[(m, b)])) for m in methods for b in benchmarks}
-    ranks: dict[tuple[str, str], float] = {}
-    for b in benchmarks:
-        rank = rankdata([-means[(m, b)] for m in methods], method="average")
-        ranks.update({(m, b): float(r) for m, r in zip(methods, rank)})
-    mean_rank = {
-        m: float(np.mean([ranks[(m, b)] for b in benchmarks])) for m in methods
-    }
-    return {
-        "methods": methods,
-        "benchmarks": benchmarks,
-        "mean": means,
-        "std": stds,
-        "rank": ranks,
-        "mean_rank": mean_rank,
-    }
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    p100 = p100[order]
+    mean = p100.mean(axis=2)
+    rank = rankdata(-mean, axis=0, method="average")
+    return [labels[i] for i in order], mean, p100.std(axis=2), rank, rank.mean(axis=1)

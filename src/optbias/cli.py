@@ -22,6 +22,8 @@ from dataclasses import replace
 from multiprocessing import get_context
 from pathlib import Path
 
+import numpy as np
+
 from . import bench, sim4opt, surrogate as sg
 from .dataio import content_hash, load_dataset, standardize, write_csv, write_manifest
 from .errors import ConfigError, DataError, NumericalError
@@ -136,11 +138,6 @@ def parse_config(path: str | None) -> dict:
     return resolved
 
 
-def _config_snapshot(cfg: dict) -> dict:
-    return {section: {k: list(v) if isinstance(v, tuple) else v for k, v in keys.items()}
-            for section, keys in cfg.items()}
-
-
 def _with_fields(default, values: dict):
     """default with values set; a nested dict builds its nested dataclass first, once."""
     return replace(default, **{k: _with_fields(getattr(default, k), v)
@@ -186,13 +183,13 @@ def _stage(cfg: dict, args, name: str, *inputs: str):
     std_ds, _ = standardize(load_dataset(args.data))
     yield out, pcfg, std_ds
     hashes = {k: content_hash(getattr(args, k)) for k in ("data",) + inputs}
-    write_manifest(out / f"{name}_manifest.json", _config_snapshot(cfg), seeds, hashes)
+    write_manifest(out / f"{name}_manifest.json", cfg, seeds, hashes)
 
 
 def cmd_gen_tasks(cfg, args) -> int:
     with _stage(cfg, args, "gen_tasks") as (out, pcfg, std_ds):
         tasks = bench.stage_gen_tasks(std_ds, pcfg, args.seed)
-        sim4opt.save_bundle(tasks, out / "tasks.json", config=_config_snapshot(cfg)["sim4opt"])
+        sim4opt.save_bundle(tasks, out / "tasks.json", config=cfg["sim4opt"])
     print(f"wrote {len(tasks)} tasks to {out / 'tasks.json'}")
     return 0
 
@@ -253,65 +250,73 @@ def _bench_cell(payload):
     instance = bench.make_benchmark(bench.Oracle(oracle_name, b["dim"]), RngState(1_000_003),
                                     b["n_full"], b["frac"])
     pcfg = build_pipeline_config({**cfg, "sim4opt": {**cfg["sim4opt"], **overrides}})
-    return replace(bench.run_method(method, instance, pcfg, seed), method=label)
+    report = bench.run_method(method, instance, pcfg, seed)
+    return report.percentile100, report.best_raw
 
 
 def _run_grid(cfg, variants, jobs):
     """Check the grid, then run every (variant, oracle, seed) cell; a variant is
-    (row label, method, [sim4opt] overrides). Reports come in variant order."""
+    (row label, method, [sim4opt] overrides). Returns the sorted oracles, the
+    sorted seeds and each cell's (percentile100, best_raw) at [variant, oracle, seed]."""
     jobs = cfg["run"]["jobs"] if jobs is None else jobs
     _check_grid(cfg, jobs)
+    oracles, seeds = sorted(cfg["bench"]["oracles"]), sorted(cfg["run"]["seeds"])
     # seconds of one ackley cell on 2 cores (ga 0.9): the longest cells go first
     cell_s = {"optbias": 5.3, "optbias_pretrain": 4.3, "optbias_random_gen": 3.6, "matchopt": 2.1}
-    payloads = [(cfg, *v, o, s) for v in sorted(variants, key=lambda v: -cell_s.get(v[1], 0.0))
-                for o in cfg["bench"]["oracles"] for s in cfg["run"]["seeds"]]
+    cells = sorted(np.ndindex(len(variants), len(oracles), len(seeds)),
+                   key=lambda c: -cell_s.get(variants[c[0]][1], 0.0))
+    payloads = [(cfg, *variants[v], oracles[o], seeds[s]) for v, o, s in cells]
     if jobs > 1:  # numpy reads these when it loads: spawned workers run one BLAS thread each
         parent_env = dict(os.environ)
         os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         try:
             with ProcessPoolExecutor(jobs, mp_context=get_context("spawn")) as pool:
-                reports = list(pool.map(_bench_cell, payloads))
+                results = list(pool.map(_bench_cell, payloads))
         finally:
             os.environ.clear()
             os.environ.update(parent_env)
     else:
-        reports = [_bench_cell(p) for p in payloads]
-    order = {label: i for i, (label, _, _) in enumerate(variants)}
-    reports.sort(key=lambda r: (order[r.method], r.benchmark, r.seed))
-    return reports
+        results = [_bench_cell(p) for p in payloads]
+    scores = np.empty((len(variants), len(oracles), len(seeds), 2))
+    for cell, result in zip(cells, results):
+        scores[cell] = result
+    return oracles, seeds, scores
 
 
-def _write_grid(cfg, args, reports, scores, summary, manifest):
-    """<scores> holds one row per cell, <summary> one per (variant, oracle)."""
+def _write_grid(cfg, args, variants, scores, summary, manifest):
+    """Run the grid of variants; <scores> holds one row per cell, <summary> one per
+    (variant, oracle)."""
+    oracles, seeds, p = _run_grid(cfg, variants, args.jobs)
+    labels = [label for label, _, _ in variants]
     out = _outdir(cfg, args.output_dir)
     # runtime_s is kept as a column of zeros, so scores.csv keeps its layout
     write_csv(out / scores, ["method", "benchmark", "seed", "percentile100", "best_raw",
                              "runtime_s"],
-              ([r.method, r.benchmark, r.seed, r.percentile100, r.best_raw, 0.0]
-               for r in reports))
-    s = bench.summarize(reports)
+              ([labels[v], oracles[o], seeds[s], *p[v, o, s], 0.0]
+               for v, o, s in np.ndindex(p.shape[:3])))
+    names, mean, std, rank, mean_rank = bench.summarize(labels, p[..., 0])
     write_csv(out / summary, ["method", "benchmark", "mean", "std", "rank", "mean_rank"],
-              ([m, b, s["mean"][(m, b)], s["std"][(m, b)], s["rank"][(m, b)],
-                s["mean_rank"][m]] for m in s["methods"] for b in s["benchmarks"]))
-    write_manifest(out / manifest, _config_snapshot(cfg), cfg["run"]["seeds"], {})
+              ([m, b, mean[i, o], std[i, o], rank[i, o], mean_rank[i]]
+               for i, m in enumerate(names) for o, b in enumerate(oracles)))
+    write_manifest(out / manifest, cfg, cfg["run"]["seeds"], {})
     print(f"wrote {out / scores} and {out / summary}")
 
 
 def cmd_bench(cfg, args) -> int:
-    reports = _run_grid(cfg, [(m, m, {}) for m in sorted(cfg["bench"]["methods"])], args.jobs)
-    _write_grid(cfg, args, reports, "scores.csv", "summary.csv", "bench_manifest.json")
+    _write_grid(cfg, args, [(m, m, {}) for m in sorted(cfg["bench"]["methods"])],
+                "scores.csv", "summary.csv", "bench_manifest.json")
     return 0
 
 
 def cmd_grad_error(cfg, args) -> int:
     seeds = _seeds(cfg["run"]["seeds"])
-    out = _outdir(cfg, args.output_dir)
     pcfg = build_pipeline_config(cfg)
     oracle = bench.Oracle(args.oracle, 4 if args.oracle == "shekel4" else cfg["bench"]["dim"])
     rows = bench.grad_error_curve(oracle, args.fractions, pcfg, seeds)
+    out = _outdir(cfg, args.output_dir)
     path = out / "grad_error.csv"
     write_csv(path, ["fraction", "mean_grad_error", "std"], rows)
-    write_manifest(out / "grad_error_manifest.json", _config_snapshot(cfg), seeds, {},
+    write_manifest(out / "grad_error_manifest.json", cfg, seeds, {},
                    {"oracle": args.oracle, "fractions": args.fractions})
     print(f"wrote {path}")
     return 0
@@ -333,9 +338,9 @@ _ABLATIONS = {
 
 
 def cmd_ablate(cfg, args) -> int:
-    reports = _run_grid(cfg, _ABLATIONS[args.axis], args.jobs)
     stem = f"ablate_{args.axis}"
-    _write_grid(cfg, args, reports, f"{stem}.csv", f"{stem}_summary.csv", f"{stem}_manifest.json")
+    _write_grid(cfg, args, _ABLATIONS[args.axis], f"{stem}.csv", f"{stem}_summary.csv",
+                f"{stem}_manifest.json")
     return 0
 
 

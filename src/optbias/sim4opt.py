@@ -221,9 +221,12 @@ def generate_tasks(
                 [m for _, m in fitted], ds.X, cfg.evolve_steps, cfg.step_size,
                 cfg.evolution_mode, cfg.ucb_beta,
             )
-            order = np.argsort(labels, axis=-1, kind="stable")
-            labels = np.take_along_axis(labels, order, axis=-1)
-            states = np.take_along_axis(states, order[..., None], axis=-2)
+            # sort each walk by label with one flat gather from the step-major buffers
+            c, n, _ = labels.shape
+            flat = (np.argsort(labels, axis=-1, kind="stable") * (c * n)
+                    + np.arange(c * n).reshape(c, n, 1))
+            labels = np.take(labels.transpose(2, 0, 1), flat)
+            states = np.take(states.transpose(2, 0, 1, 3).reshape(-1, ds.dim), flat, axis=0)
             for j, (i, model) in enumerate(fitted):
                 if diverged[j]:
                     errors[i] = NumericalError("evolution diverged beyond the guard radius")

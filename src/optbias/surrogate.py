@@ -87,7 +87,6 @@ class SurrogateNet:
         self.arch = arch
         self.params = params
         self.norm_stats = norm_stats  # list of (running_mean, running_var) per layer
-        self._offsets = {name: (shape, off) for name, shape, off in arch.layout()}
         self._blocks = {k: (o, o + int(np.prod(s)), s) for k, s, o in arch.layout()}
 
     def view(self, name: str, params: np.ndarray | None = None):

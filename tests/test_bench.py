@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optbias import bench, gp, surrogate as sg
 from optbias.dataio import normalized_score, standardize
-from optbias.errors import ConfigError, DataError, NumericalError
+from optbias.errors import ConfigError, NumericalError
 from optbias.matchloss import EXACT
 from optbias.metatrain import finetune
 from optbias.numerics import RngState
@@ -288,52 +289,75 @@ def test_pseudo_value_distribution_no_tasks():
                                         0.0, b.y_bounds)
 
 
-def _report(method, benchmark, seed, p100):
-    return bench.ScoreReport(method, benchmark, seed, p100, 0.0, np.array([p100]))
-
-
 def test_summarize_single_method():
-    reports = [_report("ga", "sphere", s, 0.5 + 0.1 * s) for s in (0, 1)]
-    out = bench.summarize(reports)
-    assert out["rank"][("ga", "sphere")] == 1.0
-    assert out["mean_rank"]["ga"] == 1.0
-    assert out["mean"][("ga", "sphere")] == pytest.approx(0.55)
-    assert out["std"][("ga", "sphere")] == pytest.approx(0.05)
+    names, mean, std, rank, mean_rank = bench.summarize(["ga"], np.array([[[0.5, 0.6]]]))
+    assert names == ["ga"]
+    assert rank[0, 0] == 1.0
+    assert mean_rank[0] == 1.0
+    assert mean[0, 0] == pytest.approx(0.55)
+    assert std[0, 0] == pytest.approx(0.05)
 
 
 def test_summarize_tie_rule():
-    reports = []
-    for m in ("a", "b"):
-        reports.append(_report(m, "sphere", 0, 0.5))
-    out = bench.summarize(reports)
-    assert out["rank"][("a", "sphere")] == 1.5
-    assert out["rank"][("b", "sphere")] == 1.5
+    _, _, _, rank, _ = bench.summarize(["a", "b"], np.full((2, 1, 1), 0.5))
+    assert rank[:, 0].tolist() == [1.5, 1.5]
 
 
 def test_summarize_manual_grid():
-    vals = {
-        ("a", "x"): [0.2, 0.4], ("a", "y"): [0.9, 0.7],
-        ("b", "x"): [0.6, 0.8], ("b", "y"): [0.1, 0.3],
-    }
-    reports = [
-        _report(m, b, s, v)
-        for (m, b), vs in vals.items()
-        for s, v in enumerate(vs)
-    ]
-    out = bench.summarize(reports)
-    assert out["mean"][("a", "x")] == pytest.approx(0.3)
-    assert out["rank"][("a", "x")] == 2.0 and out["rank"][("b", "x")] == 1.0
-    assert out["rank"][("a", "y")] == 1.0 and out["rank"][("b", "y")] == 2.0
-    assert out["mean_rank"]["a"] == pytest.approx(1.5)
+    # variants b, a; oracles x, y; two seeds each
+    p100 = np.array([[[0.6, 0.8], [0.1, 0.3]],
+                     [[0.2, 0.4], [0.9, 0.7]]])
+    names, mean, _, rank, mean_rank = bench.summarize(["b", "a"], p100)
+    assert names == ["a", "b"]
+    assert mean[0, 0] == pytest.approx(0.3)
+    assert rank[0, 0] == 2.0 and rank[1, 0] == 1.0
+    assert rank[0, 1] == 1.0 and rank[1, 1] == 2.0
+    assert mean_rank[0] == pytest.approx(1.5)
     # ranks average to (m+1)/2 per benchmark
-    assert out["rank"][("a", "x")] + out["rank"][("b", "x")] == 3.0
+    assert rank[0, 0] + rank[1, 0] == 3.0
 
 
-def test_summarize_incomplete_grid():
-    reports = [_report("a", "x", 0, 0.5), _report("a", "x", 1, 0.6),
-               _report("b", "x", 0, 0.7)]
-    with pytest.raises(DataError, match=r"cell \(b, x\) has 1 seeds, expected 2"):
-        bench.summarize(reports)
+def _summarize_per_cell(reports):
+    """summarize as it was written over (method, benchmark, seed, p100) records:
+    dicts keyed by (method, benchmark), one reduction and one ranking per cell."""
+    from scipy.stats import rankdata
+
+    methods = sorted({m for m, _, _, _ in reports})
+    benchmarks = sorted({b for _, b, _, _ in reports})
+    cells: dict[tuple[str, str], list[float]] = {}
+    for m, b, _, v in reports:
+        cells.setdefault((m, b), []).append(v)
+    means = {k: float(np.mean(v)) for k, v in cells.items()}
+    stds = {k: float(np.std(v)) for k, v in cells.items()}
+    ranks = {}
+    for b in benchmarks:
+        rank = rankdata([-means[(m, b)] for m in methods], method="average")
+        ranks.update({(m, b): float(r) for m, r in zip(methods, rank)})
+    mean_rank = {m: float(np.mean([ranks[(m, b)] for b in benchmarks])) for m in methods}
+    return methods, means, stds, ranks, mean_rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_summarize_is_the_per_cell_reference_bit_for_bit(data):
+    V, O, S = (data.draw(st.integers(1, n)) for n in (5, 4, 20))
+    labels = data.draw(st.lists(st.text("abcK[]=.0123", min_size=1, max_size=6),
+                                min_size=V, max_size=V, unique=True))
+    # a few distinct values, so that cells and their means tie
+    pool = data.draw(st.lists(st.floats(0.0, 1.5, allow_subnormal=False), min_size=1,
+                              max_size=4))
+    p100 = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=V * O * S,
+                                       max_size=V * O * S))).reshape(V, O, S)
+    oracles = [f"o{i}" for i in range(O)]
+    names, mean, std, rank, mean_rank = bench.summarize(labels, p100)
+    methods, means, stds, ranks, mean_ranks = _summarize_per_cell(
+        [(labels[v], oracles[o], s, p100[v, o, s]) for v, o, s in np.ndindex(V, O, S)])
+    assert names == methods
+    for i, m in enumerate(names):
+        assert mean_rank[i].tobytes() == np.float64(mean_ranks[m]).tobytes()
+        for o, b in enumerate(oracles):
+            for got, want in ((mean, means), (std, stds), (rank, ranks)):
+                assert got[i, o].tobytes() == np.float64(want[(m, b)]).tobytes()
 
 
 def test_sphere_subset_best_regression_constant():

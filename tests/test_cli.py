@@ -227,6 +227,7 @@ def test_grad_error_bad_dim_or_fractions_exit_2(tmp_path, capsys):
     p.write_text(_with_bench_key("seeds = -1"))
     assert cli.main(["--config", str(p)] + out + ["grad-error", "--oracle", "sphere"]) == 2
     assert "config: seeds must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # no check runs after the output dir is made
     with pytest.raises(SystemExit) as exc:  # argparse rejects a non-number
         cli.main(out + ["grad-error", "--fractions", "abc"])
     assert exc.value.code == 2
@@ -286,7 +287,7 @@ def test_config_snapshot_replays_every_key(tmp_path, text):
     if text is not None:
         p.write_text(text)
     cfg = cli.parse_config(None if text is None else str(p))
-    snapshot = json.loads(json.dumps(cli._config_snapshot(cfg)))  # as a manifest stores it
+    snapshot = json.loads(json.dumps(cfg))  # as a manifest stores it
     p.write_text(_as_ini(snapshot))
     assert cli.parse_config(str(p)) == cfg
 
@@ -668,6 +669,34 @@ def test_ablate_gp_rbf_row_runs_rbf_under_a_matern_config(tmp_path, monkeypatch)
     family = {label: pcfg.sim.base_params.family for (label, _, _), pcfg in zip(variants, pcfgs)}
     assert family["optbias[rbf]"] == "rbf"
     assert family["optbias[matern]"] == "matern52"
+
+
+def test_run_grid_puts_each_cell_at_its_own_index(tmp_path, monkeypatch):
+    # oracles and seeds listed out of sorted order, variants not in dispatch
+    # order: every cell's result still lands at [variant, sorted oracle, sorted seed]
+    p = tmp_path / "grid.ini"
+    p.write_text(SMALL_CFG.replace("oracles = sphere", "oracles = sphere,ackley")
+                 .replace("seeds = 0,1", "seeds = 2,0,1"))
+    cfg = cli.parse_config(str(p))
+    variants = [("g", "ga", {}), ("o", "optbias", {}), ("m", "matchopt", {})]
+    calls = []
+
+    def value(method, oracle, seed):
+        return (100 * ("ga", "optbias", "matchopt").index(method)
+                + 10 * ("sphere", "ackley").index(oracle) + seed)
+
+    def run_method(method, b, pcfg, seed):
+        calls.append(method)
+        v = value(method, b.oracle.name, seed)
+        return bench.ScoreReport(method, b.oracle.name, seed, v, -v, np.zeros(1))
+
+    monkeypatch.setattr(bench, "run_method", run_method)
+    oracles, seeds, scores = cli._run_grid(cfg, variants, 1)
+    assert (oracles, seeds) == (["ackley", "sphere"], [0, 1, 2])
+    assert calls == ["optbias"] * 6 + ["matchopt"] * 6 + ["ga"] * 6  # longest first
+    for v, o, s in np.ndindex(scores.shape[:3]):
+        want = value(variants[v][1], oracles[o], seeds[s])
+        assert scores[v, o, s].tolist() == [want, -want]
 
 
 def test_inspect_missing_file(capsys):

@@ -232,6 +232,30 @@ def test_generate_is_bit_equal_to_the_reference_walk(monkeypatch, family, mode):
         assert t.labels.tobytes() == w.labels.tobytes()
 
 
+def test_generate_sorts_each_walk_as_take_along_axis_does(monkeypatch):
+    # one chunk of c = 4 tasks whose walks (step-major buffers, as evolve lays
+    # them out) repeat labels: the flat gather keeps the stable order of ties
+    ds = offline_2d(n=6)
+    cfg = sim4opt.Sim4OptConfig(n_functions=4, evolve_steps=3)
+    T, c, n, d = 2 * cfg.evolve_steps + 1, cfg.n_functions, ds.n, ds.dim
+    r = np.random.default_rng(0)
+    S, L = r.normal(size=(T, c, n, d)), r.integers(0, 3, size=(T, c, n)).astype(float)
+    states, labels = S.transpose(1, 2, 0, 3), L.transpose(1, 2, 0)
+
+    def fake_evolve(models, X0, steps, *args):
+        assert (len(models), steps) == (c, cfg.evolve_steps)
+        return states, labels, np.zeros(c, dtype=bool)
+
+    monkeypatch.setattr(sim4opt, "evolve", fake_evolve)
+    tasks = sim4opt.generate_tasks(ds, cfg, RngState(0))
+    order = np.argsort(labels, axis=-1, kind="stable")
+    want_labels = np.take_along_axis(labels, order, axis=-1)
+    want_states = np.take_along_axis(states, order[..., None], axis=-2)
+    for j, t in enumerate(tasks):
+        assert t.labels.tobytes() == want_labels[j].tobytes()
+        assert t.states.tobytes() == want_states[j].tobytes()
+
+
 def _poisoning(monkeypatch, poisoned_call: int, every_retry: bool):
     """Patch sample_task_params so that the draw with index ``poisoned_call``
     (and, with ``every_retry``, every later draw from the same stream) has a
