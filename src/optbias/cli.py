@@ -175,12 +175,13 @@ def _outdir(cfg: dict, override: str | None) -> Path:
 @contextmanager
 def _stage(cfg: dict, args, name: str, *inputs: str):
     """The output dir, typed config and standardized --data of one pipeline
-    stage. When the stage's body succeeds, <name>_manifest.json records the
-    config, the seed and the hashes of --data and of the named file args."""
+    stage; the dir is made only once the config and --data are good. When the
+    stage's body succeeds, <name>_manifest.json records the config, the seed
+    and the hashes of --data and of the named file args."""
     seeds = _seeds([args.seed])
-    out = _outdir(cfg, args.output_dir)
     pcfg = build_pipeline_config(cfg)
     std_ds, _ = standardize(load_dataset(args.data))
+    out = _outdir(cfg, args.output_dir)
     yield out, pcfg, std_ds
     hashes = {k: content_hash(getattr(args, k)) for k in ("data",) + inputs}
     write_manifest(out / f"{name}_manifest.json", cfg, seeds, hashes)

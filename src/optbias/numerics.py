@@ -65,11 +65,10 @@ def cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class RngState:
-    """Deterministic, splittable random stream.
-
-    Every stochastic operation in the package takes one of these explicitly;
-    nothing draws from global state. ``split(i)`` derives an independent
-    stream for sub-task i from the same root seed.
+    """Deterministic, splittable random stream, passed explicitly to every
+    stochastic operation; nothing draws from global state. A child depends
+    only on (root seed, index), so ``r.split(i).split(j)`` draws what
+    ``RngState(r.seed).split(j)`` draws: Sim4Opt task i shares stage stream i.
     """
 
     def __init__(self, seed: int, _seq: np.random.SeedSequence | None = None):
@@ -78,6 +77,7 @@ class RngState:
         self._gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def split(self, index: int) -> "RngState":
+        """Child stream from the root seed and `index` alone, not this stream's state."""
         child = np.random.SeedSequence(self.seed, spawn_key=(int(index),))
         return RngState(self.seed, _seq=child)
 

@@ -44,11 +44,11 @@ def gradient_search(
     steps: int = 300,
     bounds: np.ndarray | None = None,
 ) -> CandidateSet:
-    """Independent fixed-step ascent per candidate on grad_x g_phi.
+    """Independent fixed-step ascent per candidate on grad_x g_phi, folded once.
 
-    `bounds` is a (d, 2) array of per-dimension intervals; when given, designs
-    are clamped after every step. A candidate that goes non-finite is frozen
-    at its last finite state and flagged rather than aborting the batch.
+    A candidate whose step goes non-finite is frozen at its last finite state
+    and flagged rather than aborting the batch. `bounds` is a (d, 2) array of
+    per-dimension intervals; when given, finite steps are clamped to it.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -56,20 +56,16 @@ def gradient_search(
         raise ValueError("steps must be >= 0")
     X = c.designs.copy()
     flagged = np.zeros(X.shape[0], dtype=bool)
+    folded = sg._fold(net, net.params)
     for _ in range(steps):
-        active = ~flagged
-        if not active.any():
+        rows = np.flatnonzero(~flagged)
+        if rows.size == 0:
             break
-        grad = sg.input_grad_batch(net, X[active])
-        nxt = X[active] + gamma * grad
-        if bounds is not None:
-            nxt = np.clip(nxt, bounds[:, 0], bounds[:, 1])
-        bad = ~np.isfinite(nxt).all(axis=1)
-        nxt[bad] = X[active][bad]
-        X[active] = nxt
-        if bad.any():
-            idx = np.flatnonzero(active)
-            flagged[idx[bad]] = True
+        nxt = X[rows] + gamma * sg.input_grad_batch(net, X[rows], folded=folded)
+        ok = np.isfinite(nxt).all(axis=1)
+        flagged[rows[~ok]] = True
+        nxt = nxt[ok]
+        X[rows[ok]] = nxt if bounds is None else np.clip(nxt, bounds[:, 0], bounds[:, 1])
     return CandidateSet(X, c.provenance.copy(), flagged)
 
 

@@ -165,12 +165,13 @@ def _leaky_mask(u: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(mask, slope, out=mask)
 
 
-def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False):
+def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False,
+            folded=None):
     """Predictions (b,) plus the activation cache for backward_params.
 
     With train=True the norm layers use batch statistics and move the running
     statistics; otherwise each layer is its folded frozen-statistics affine map
-    and the net is not mutated.
+    and the net is not mutated; a given `folded` = `_fold(net, p)` skips the fold.
     """
     p = _check_override(net, params_override)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -178,7 +179,8 @@ def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False)
         raise NumericalError("empty batch")
     if X.shape[1] != net.arch.input_dim:
         raise NumericalError(f"input dim {X.shape[1]} != {net.arch.input_dim}")
-    folded = None if train and net.arch.norm == NORM_BATCH else _fold(net, p)
+    if folded is None and not (train and net.arch.norm == NORM_BATCH):
+        folded = _fold(net, p)
     h, layers = X, []
     for i in range(len(net.arch.hidden)):
         lay = {"a": h}
@@ -244,10 +246,11 @@ def input_grad(net: SurrogateNet, x: np.ndarray, params_override=None) -> np.nda
     return input_grad_batch(net, x[None, :], params_override)[0]
 
 
-def input_grad_batch(net: SurrogateNet, X: np.ndarray, params_override=None) -> np.ndarray:
-    """Per-row grad_x g(x) under the frozen norm statistics."""
+def input_grad_batch(net: SurrogateNet, X: np.ndarray, params_override=None,
+                     folded=None) -> np.ndarray:
+    """Per-row grad_x g(x) under the frozen norm statistics; `folded` as in forward."""
     p = _check_override(net, params_override)
-    _, cache = forward(net, X, params_override=p)
+    _, cache = forward(net, X, params_override=p, folded=folded)
     dh = np.broadcast_to(net.view("Wh", p).ravel()[None, :], cache["h_last"].shape)
     for lay, fold in zip(reversed(cache["layers"]), reversed(cache["folded"])):
         dh = (dh * lay["mask"]) @ fold[0].T

@@ -233,21 +233,45 @@ def test_grad_error_bad_dim_or_fractions_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command", [
+STAGE_COMMANDS = [
     ["gen-tasks"],
     ["meta-train", "--tasks", "tasks.json"],
     ["meta-train", "--tasks", "tasks.json", "--pretrain"],
     ["finetune", "--checkpoint", "meta.ckpt"],
     ["search", "--checkpoint", "finetuned.ckpt"],
-])
-def test_negative_seed_exits_2_before_the_stage(tmp_path, data_csv, capsys, monkeypatch,
-                                                command):
+]
+
+
+def _no_stage_runs(monkeypatch):
     for stage in ("stage_gen_tasks", "stage_meta_train", "stage_finetune", "stage_search"):
         monkeypatch.setattr(bench, stage, lambda *a: pytest.fail("a stage ran"))
+
+
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
+def test_negative_seed_exits_2_before_the_stage(tmp_path, data_csv, capsys, monkeypatch,
+                                                command):
+    _no_stage_runs(monkeypatch)
     rc = cli.main(["--output-dir", str(tmp_path / "out"), command[0], "--data", str(data_csv),
                    "--seed", "-1"] + command[1:])
     assert rc == 2
     assert "config: seeds must be non-negative, got [-1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", STAGE_COMMANDS)
+@pytest.mark.parametrize("config, data, code", [
+    ("[sim4opt]\nn_functions = 0\n", None, 2),
+    ("", "no/such.csv", 4),
+], ids=["bad config", "missing data"])
+def test_failed_stage_set_up_leaves_no_output_dir(tmp_path, data_csv, capsys, monkeypatch,
+                                                  command, config, data, code):
+    _no_stage_runs(monkeypatch)
+    (tmp_path / "run.ini").write_text(config)
+    rc = cli.main(["--config", str(tmp_path / "run.ini"), "--output-dir", str(tmp_path / "out"),
+                   command[0], "--data", str(tmp_path / data if data else data_csv)]
+                  + command[1:])
+    assert rc == code
+    assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,6 +8,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -33,3 +35,32 @@ def test_tracer_wraps_and_restores_every_layer():
             assert wrapped is not fn and inspect.unwrap(wrapped) is fn
     for name, fn in originals.items():
         assert _resolve(name) is fn
+
+
+class _Arg:
+    """Any argument a rows function reads: its len(), .size, .n and int() are 3."""
+
+    size = n = 3
+
+    def __len__(self):
+        return 3
+
+    def __int__(self):
+        return 3
+
+
+_STALE_KEYWORD = pytest.mark.xfail(
+    raises=KeyError, strict=True,
+    reason="perfbench/tracing.py reads 'dpred'; the parameter is djvp (ROADMAP item 7)")
+
+
+@pytest.mark.parametrize("qualname", [
+    pytest.param(layer.qualname, marks=_STALE_KEYWORD)
+    if layer.qualname == "surrogate.backward_params_jvp" else layer.qualname
+    for layer in _load_tracing().LAYERS if layer.rows is not None
+])
+def test_row_counts_read_the_wrapped_function_parameters(qualname):
+    # a keyword call must find every argument the tracer counts rows from
+    layer = next(la for la in _load_tracing().LAYERS if la.qualname == qualname)
+    params = inspect.signature(_resolve(qualname)).parameters
+    assert layer.rows(**{name: _Arg() for name in params}) == 3

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from optbias import search
+from optbias import surrogate as sg
 from optbias.dataio import OfflineDataset
 from optbias.numerics import RngState
 from conftest import small_net
@@ -9,6 +10,8 @@ from conftest import small_net
 
 class QuadraticNet:
     """Stand-in surrogate g(x) = -||x - target||^2 with exact gradients."""
+
+    params = None  # read only by the stubbed _fold
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
@@ -19,11 +22,12 @@ def _patch_quadratic(monkeypatch, net):
         X = np.atleast_2d(X)
         return -np.sum((X - net.target) ** 2, axis=1), None
 
-    def fake_input_grad_batch(n, X, params_override=None):
+    def fake_input_grad_batch(n, X, params_override=None, folded=None):
         return -2.0 * (np.atleast_2d(X) - net.target)
 
     monkeypatch.setattr(search.sg, "forward", fake_forward)
     monkeypatch.setattr(search.sg, "input_grad_batch", fake_input_grad_batch)
+    monkeypatch.setattr(search.sg, "_fold", lambda n, p: None)
 
 
 def test_init_candidates_small_pool_returns_all():
@@ -117,6 +121,98 @@ def test_gradient_search_permutation_independence():
         net, search.CandidateSet(X[perm], perm), 0.01, 25
     )
     assert np.allclose(out_p.designs, out.designs[perm])
+
+
+def _reference_gradient_search(net, c, gamma, steps, bounds=None):
+    """Reference ascent: a fold inside every input_grad_batch call, a mask of
+    active rows, and the clamp before the finiteness check."""
+    X = c.designs.copy()
+    flagged = np.zeros(X.shape[0], dtype=bool)
+    for _ in range(steps):
+        active = ~flagged
+        if not active.any():
+            break
+        grad = sg.input_grad_batch(net, X[active])
+        nxt = X[active] + gamma * grad
+        if bounds is not None:
+            nxt = np.clip(nxt, bounds[:, 0], bounds[:, 1])
+        bad = ~np.isfinite(nxt).all(axis=1)
+        nxt[bad] = X[active][bad]
+        X[active] = nxt
+        if bad.any():
+            idx = np.flatnonzero(active)
+            flagged[idx[bad]] = True
+    return X, flagged
+
+
+@pytest.mark.parametrize("norm", [sg.NORM_BATCH, sg.NORM_NONE])
+@pytest.mark.parametrize("n", [1, 7, 80, 257])
+@pytest.mark.parametrize("bounded", [False, True])
+def test_gradient_search_is_bit_equal_to_the_reference(monkeypatch, norm, n, bounded):
+    net = small_net(dim=3, hidden=(16, 8), norm=norm)
+    c = search.CandidateSet(RngState(10).normal(size=(n, 3)), np.arange(n))
+    bounds = np.array([[-1.0, 1.0], [-0.5, 0.5], [-2.0, 0.25]]) if bounded else None
+    real = sg.input_grad_batch
+    calls = []
+
+    def nan_mid_run(net, X, *args, **kwargs):
+        # the last live row's gradient turns NaN at step 12
+        grad = real(net, X, *args, **kwargs)
+        calls.append(len(X))
+        if len(calls) == 12:
+            grad[-1, 1] = np.nan
+        return grad
+
+    monkeypatch.setattr(search.sg, "input_grad_batch", nan_mid_run)
+    ref_X, ref_flagged = _reference_gradient_search(net, c, 0.05, 30, bounds)
+    ref_calls, calls[:] = calls[:], []
+    out = search.gradient_search(net, c, 0.05, 30, bounds)
+    assert calls == ref_calls
+    assert out.designs.tobytes() == ref_X.tobytes()
+    assert np.array_equal(out.flagged, ref_flagged) and out.flagged[-1]
+    assert out.flagged.sum() == 1
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_gradient_search_flags_an_infinite_step_under_bounds(monkeypatch, bounded):
+    net = QuadraticNet([0.3, -0.2])
+    _patch_quadratic(monkeypatch, net)
+    fake = search.sg.input_grad_batch
+    start = np.array([[0.1, 0.1], [0.5, -0.5]])
+
+    def inf_at_first_start(n, X, params_override=None, folded=None):
+        grad = fake(n, X)
+        grad[(X == start[0]).all(axis=1)] = np.inf
+        return grad
+
+    monkeypatch.setattr(search.sg, "input_grad_batch", inf_at_first_start)
+    bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]]) if bounded else None
+    out = search.gradient_search(net, search.CandidateSet(start, np.arange(2)), 0.1, 5, bounds)
+    assert out.flagged.tolist() == [True, False]
+    assert np.array_equal(out.designs[0], start[0])
+
+
+def test_gradient_search_folds_once(monkeypatch):
+    net = small_net()
+    real_fold, real_grad = sg._fold, sg.input_grad_batch
+    folds, grads = [], []
+
+    def counting_fold(*args, **kwargs):
+        folds.append(args)
+        return real_fold(*args, **kwargs)
+
+    def recording_grad(*args, **kwargs):
+        grads.append((len(args), sorted(kwargs)))
+        return real_grad(*args, **kwargs)
+
+    monkeypatch.setattr(sg, "_fold", counting_fold)
+    monkeypatch.setattr(sg, "input_grad_batch", recording_grad)
+    c = search.CandidateSet(RngState(11).normal(size=(5, 2)), np.arange(5))
+    out = search.gradient_search(net, c, 0.01, 17)
+    assert not out.flagged.any()
+    assert len(folds) == 1
+    # X is positional: the benchmark counts input_grad_batch's rows from argument 1
+    assert grads == [(2, ["folded"])] * 17
 
 
 def test_gradient_search_invalid_args():
