@@ -220,7 +220,7 @@ def cmd_search(cfg, args) -> int:
     with _stage(cfg, args, "search", "checkpoint") as (out, pcfg, std_ds):
         net = sg.load_checkpoint(args.checkpoint)
         final = bench.stage_search(net, std_ds, pcfg, args.seed)
-        write_designs_csv(out / "designs.csv", final, pcfg.search_steps, names=std_ds.names)
+        write_designs_csv(out / "designs.csv", final, names=std_ds.names)
     print(f"wrote {out / 'designs.csv'}")
     return 0
 

@@ -75,7 +75,7 @@ def offline_pairs(ds: OfflineDataset, b: int, rng: RngState) -> PairBatch:
     return PairBatch(ds.X[i], ds.X[j], ds.z[j] - ds.z[i])
 
 
-def _quadrature_terms(net, batch: PairBatch, S: int, params):
+def _quadrature_terms(net, batch: PairBatch, S: int):
     """Per-pair quadrature value q_b = dx_b . mean_s grad g(x_b + t_s dx_b)."""
     b, d = batch.starts.shape
     dx = batch.ends - batch.starts
@@ -84,40 +84,39 @@ def _quadrature_terms(net, batch: PairBatch, S: int, params):
     nodes = batch.starts[None, :, :] + t[:, None, None] * dx[None, :, :]
     nodes = nodes.reshape(S * b, d)
     dirs = np.broadcast_to(dx[None, :, :], (S, b, d)).reshape(S * b, d)
-    jvp, cache = sg.forward_jvp(net, nodes, dirs, params_override=params)
+    jvp, cache = sg.forward_jvp(net, nodes, dirs)
     q = jvp.reshape(S, b).mean(axis=0)
     return q, cache
 
 
-def path_integral(net, x, x2, mode: IntegralMode = DEFAULT_MODE, params=None) -> float:
+def path_integral(net, x, x2, mode: IntegralMode = DEFAULT_MODE) -> float:
     """Integral of dx . grad g along the segment from x to x2."""
     x = np.asarray(x, dtype=np.float64).ravel()
     x2 = np.asarray(x2, dtype=np.float64).ravel()
     batch = PairBatch(x[None, :], x2[None, :], np.zeros(1))
     if mode.kind == "exact":
-        pred, _ = sg.forward(net, np.stack([x, x2]), params_override=params)
+        pred, _ = sg.forward(net, np.stack([x, x2]))
         return float(pred[1] - pred[0])
-    q, _ = _quadrature_terms(net, batch, mode.nodes, params)
+    q, _ = _quadrature_terms(net, batch, mode.nodes)
     return float(q[0])
 
 
-def match_loss(
-    net, pairs: PairBatch, mode: IntegralMode = DEFAULT_MODE, params=None
-) -> tuple[float, np.ndarray]:
+def match_loss(net, pairs: PairBatch,
+               mode: IntegralMode = DEFAULT_MODE) -> tuple[float, np.ndarray]:
     """Mean squared gradient-matching residual and its flat-parameter gradient."""
     if pairs.size == 0:
         raise NumericalError("empty pair batch")
     b = pairs.size
     if mode.kind == "exact":
         stacked = np.concatenate([pairs.starts, pairs.ends], axis=0)
-        pred, cache = sg.forward(net, stacked, params_override=params)
+        pred, cache = sg.forward(net, stacked)
         integral = pred[b:] - pred[:b]
         resid = pairs.dz - integral
         loss = float(np.mean(resid**2))
         dpred = np.concatenate([2.0 * resid / b, -2.0 * resid / b])
         grad = sg.backward_params(net, cache, dpred)
     else:
-        q, cache = _quadrature_terms(net, pairs, mode.nodes, params)
+        q, cache = _quadrature_terms(net, pairs, mode.nodes)
         resid = pairs.dz - q
         loss = float(np.mean(resid**2))
         djvp = np.broadcast_to(
@@ -127,12 +126,12 @@ def match_loss(
     return loss, grad
 
 
-def mse_loss(net, ds: OfflineDataset, batch_idx=None, params=None) -> tuple[float, np.ndarray]:
+def mse_loss(net, ds: OfflineDataset, batch_idx=None) -> tuple[float, np.ndarray]:
     """Supervised squared-error loss (the GA baseline objective) on batch norm statistics."""
     idx = np.arange(ds.n) if batch_idx is None else np.asarray(batch_idx)
     if idx.size == 0:
         raise NumericalError("empty index batch")
-    pred, cache = sg.forward(net, ds.X[idx], params_override=params, train=True)
+    pred, cache = sg.forward(net, ds.X[idx], train=True)
     resid = pred - ds.z[idx]
     loss = float(np.mean(resid**2))
     grad = sg.backward_params(net, cache, 2.0 * resid / idx.size)

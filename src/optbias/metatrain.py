@@ -64,7 +64,8 @@ def inner_adapt(net, task: SyntheticTask, cfg: MetaConfig, rng: RngState):
 
     The norm running statistics are first refreshed from the context batch.
     Returns (fast_params, pre_loss, post_loss, post_grad) where post_loss and
-    its gradient are evaluated at the fast weights on a fresh target batch.
+    its gradient are evaluated on a fresh target batch by the fast net, which
+    holds the fast weights and shares the refreshed statistics.
     With inner_lr = 0 the context loss is not computed: the fast weights are
     net.params and pre_loss is post_loss.
     """
@@ -78,7 +79,8 @@ def inner_adapt(net, task: SyntheticTask, cfg: MetaConfig, rng: RngState):
         pre_loss, grad = match_loss(net, context, cfg.integral_mode)
         fast = fast - cfg.inner_lr * grad
     target = _task_batch(task, rng, cfg.target_pairs)
-    post_loss, post_grad = match_loss(net, target, cfg.integral_mode, params=fast)
+    fast_net = sg.SurrogateNet(net.arch, fast, net.norm_stats)
+    post_loss, post_grad = match_loss(fast_net, target, cfg.integral_mode)
     if not cfg.inner_lr:
         pre_loss = post_loss
     return fast, pre_loss, post_loss, post_grad

@@ -17,6 +17,7 @@ class CandidateSet:
     designs: np.ndarray  # k x d, standardized units
     provenance: np.ndarray  # index into the offline pool
     flagged: np.ndarray | None = None  # True where ascent diverged and was frozen
+    steps_taken: np.ndarray | None = None  # finite ascent steps made per candidate
 
 
 def init_candidates(
@@ -47,32 +48,33 @@ def gradient_search(
     """Independent fixed-step ascent per candidate on grad_x g_phi, folded once.
 
     A candidate whose step goes non-finite is frozen at its last finite state
-    and flagged rather than aborting the batch. `bounds` is a (d, 2) array of
-    per-dimension intervals; when given, finite steps are clamped to it.
+    and flagged rather than aborting the batch; its steps_taken is the number
+    of finite steps it made, and every other candidate's is `steps`. `bounds`
+    is a (d, 2) array of per-dimension intervals; when given, finite steps are
+    clamped to it.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     X = c.designs.copy()
-    flagged = np.zeros(X.shape[0], dtype=bool)
+    taken = np.full(X.shape[0], steps)  # a live row has taken every step so far
     folded = sg._fold(net, net.params)
-    for _ in range(steps):
-        rows = np.flatnonzero(~flagged)
+    for t in range(steps):
+        rows = np.flatnonzero(taken == steps)
         if rows.size == 0:
             break
         nxt = X[rows] + gamma * sg.input_grad_batch(net, X[rows], folded=folded)
         ok = np.isfinite(nxt).all(axis=1)
-        flagged[rows[~ok]] = True
+        taken[rows[~ok]] = t
         nxt = nxt[ok]
         X[rows[ok]] = nxt if bounds is None else np.clip(nxt, bounds[:, 0], bounds[:, 1])
-    return CandidateSet(X, c.provenance.copy(), flagged)
+    return CandidateSet(X, c.provenance.copy(), taken < steps, taken)
 
 
-def write_designs_csv(path, c: CandidateSet, steps_taken: int, names=None) -> None:
-    """Designs CSV: dataset schema columns plus provenance,steps_taken,flagged."""
+def write_designs_csv(path, c: CandidateSet, names=None) -> None:
+    """gradient_search's designs: dataset schema columns plus provenance,steps_taken,flagged."""
     cols = list(names) if names else [f"x{i}" for i in range(c.designs.shape[1])]
-    flagged = c.flagged if c.flagged is not None else np.zeros(len(c.provenance), dtype=bool)
     write_csv(path, cols + ["provenance", "steps_taken", "flagged"],
-              ([*x, int(p), steps_taken, int(f)]
-               for x, p, f in zip(c.designs, c.provenance, flagged)))
+              ([*x, int(p), int(n), int(f)]
+               for x, p, n, f in zip(c.designs, c.provenance, c.steps_taken, c.flagged)))

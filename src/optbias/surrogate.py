@@ -2,7 +2,10 @@
 
 Architecture: per hidden layer Linear -> Norm -> LeakyReLU, then a linear head
 to one scalar. Parameters (weights, biases, norm scale/shift) live in a single
-flat float64 vector so fast-weight vectors for meta-learning are just arrays.
+flat float64 vector, `net.params`, and only there: every pass reads the
+parameters of the net it is given. A fast-weight vector phi' is scored on its
+own net, SurrogateNet(net.arch, phi', net.norm_stats), which shares the running
+statistics list of the net it came from.
 
 The net holds no train/eval state. `forward(..., train=True)` normalizes with
 batch statistics and moves the running statistics with momentum 0.9. Every
@@ -16,6 +19,7 @@ statistics second derivatives are well-posed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -27,6 +31,7 @@ from .numerics import RngState
 
 EPS = 1e-5
 RUNNING_MOMENTUM = 0.9
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 NORM_BATCH = "batch_stat"
 NORM_NONE = "none"
@@ -60,7 +65,7 @@ class Architecture:
                 (f"b{i}", (w,)),
             ):
                 out.append((name, shape, off))
-                off += int(np.prod(shape))
+                off += math.prod(shape)
             if self.norm == NORM_BATCH:
                 for name in (f"g{i}", f"s{i}"):
                     out.append((name, (w,), off))
@@ -73,21 +78,20 @@ class Architecture:
 
     def n_params(self) -> int:
         name, shape, off = self.layout()[-1]
-        return off + int(np.prod(shape))
+        return off + math.prod(shape)
 
 
 class SurrogateNet:
     """Mutable parameter/statistics container; all math is in module functions."""
 
     def __init__(self, arch: Architecture, params: np.ndarray, norm_stats):
-        if params.shape != (arch.n_params(),):
-            raise NumericalError(
-                f"params length {params.shape} != {arch.n_params()} for {arch}"
-            )
+        self._blocks = {k: (o, o + math.prod(s), s) for k, s, o in arch.layout()}
+        n_params = self._blocks["bh"][1]
+        if params.shape != (n_params,):
+            raise NumericalError(f"params length {params.shape} != {n_params} for {arch}")
         self.arch = arch
         self.params = params
         self.norm_stats = norm_stats  # list of (running_mean, running_var) per layer
-        self._blocks = {k: (o, o + int(np.prod(s)), s) for k, s, o in arch.layout()}
 
     def view(self, name: str, params: np.ndarray | None = None):
         start, end, shape = self._blocks[name]
@@ -117,15 +121,6 @@ def init_net(arch: Architecture, rng: RngState) -> SurrogateNet:
     return net
 
 
-def _check_override(net: SurrogateNet, params_override):
-    if params_override is None:
-        return net.params
-    p = np.asarray(params_override, dtype=np.float64)
-    if p.shape != net.params.shape:
-        raise NumericalError(f"override length {p.shape} != {net.params.shape}")
-    return p
-
-
 def _fold(net: SurrogateNet, p: np.ndarray) -> list[tuple]:
     """Each hidden layer's Linear -> Norm under the frozen statistics as one
     affine map: (W', b', σ, b - μ) with σ = sqrt(var + EPS), W' = W·γ/σ and
@@ -143,17 +138,17 @@ def _fold(net: SurrogateNet, p: np.ndarray) -> list[tuple]:
     return folded
 
 
-def _unfold_grad(net: SurrogateNet, grad, p, i: int, fold, dWf, dbf=0.0) -> None:
+def _unfold_grad(net: SurrogateNet, grad, i: int, fold, dWf, dbf=0.0) -> None:
     """Write layer i's entries of grad from the gradient w.r.t. its folded
     (W', b') by the chain rule; dbf=0 when the pass does not depend on b'.
     dWf must be a fresh array: it is overwritten."""
     _, _, std, centered = fold
-    scale = 1.0 if std is None else net.view(f"g{i}", p) / std
+    scale = 1.0 if std is None else net.view(f"g{i}") / std
     np.multiply(dWf, scale, out=net.view(f"W{i}", grad))
     np.multiply(dbf, scale, out=net.view(f"b{i}", grad))
     if std is not None:
         net.view(f"s{i}", grad)[:] = dbf
-        dg = np.multiply(dWf, net.view(f"W{i}", p), out=dWf).sum(axis=0)
+        dg = np.multiply(dWf, net.view(f"W{i}"), out=dWf).sum(axis=0)
         dg += centered * dbf
         np.divide(dg, std, out=net.view(f"g{i}", grad))
 
@@ -165,34 +160,33 @@ def _leaky_mask(u: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(mask, slope, out=mask)
 
 
-def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False,
-            folded=None):
+def forward(net: SurrogateNet, X: np.ndarray, train=False, folded=None):
     """Predictions (b,) plus the activation cache for backward_params.
 
     With train=True the norm layers use batch statistics and move the running
     statistics; otherwise each layer is its folded frozen-statistics affine map
-    and the net is not mutated; a given `folded` = `_fold(net, p)` skips the fold.
+    and the net is not mutated; a given `folded` = `_fold(net, net.params)`
+    skips the fold.
     """
-    p = _check_override(net, params_override)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise NumericalError("empty batch")
     if X.shape[1] != net.arch.input_dim:
         raise NumericalError(f"input dim {X.shape[1]} != {net.arch.input_dim}")
     if folded is None and not (train and net.arch.norm == NORM_BATCH):
-        folded = _fold(net, p)
+        folded = _fold(net, net.params)
     h, layers = X, []
     for i in range(len(net.arch.hidden)):
         lay = {"a": h}
         if folded is None:
-            s = h @ net.view(f"W{i}", p) + net.view(f"b{i}", p)
+            s = h @ net.view(f"W{i}") + net.view(f"b{i}")
             mu, var = s.mean(axis=0), s.var(axis=0)
             for running, batch in zip(net.norm_stats[i], (mu, var)):
                 running *= RUNNING_MOMENTUM
                 running += (1.0 - RUNNING_MOMENTUM) * batch
             std = np.sqrt(var + EPS)
             xhat = (s - mu) / std
-            u = net.view(f"g{i}", p) * xhat + net.view(f"s{i}", p)
+            u = net.view(f"g{i}") * xhat + net.view(f"s{i}")
             lay.update(s=s, std=std, xhat=xhat)
         else:
             u = h @ folded[i][0]
@@ -201,74 +195,81 @@ def forward(net: SurrogateNet, X: np.ndarray, params_override=None, train=False,
         u *= lay["mask"]
         layers.append(lay)
         h = u
-    pred = (h @ net.view("Wh", p) + net.view("bh", p)).ravel()
-    cache = {"params": p, "train": train, "folded": folded, "layers": layers,
-             "h_last": h, "X": X}
+    pred = (h @ net.view("Wh") + net.view("bh")).ravel()
+    cache = {"train": train, "folded": folded, "layers": layers, "h_last": h, "X": X}
     return pred, cache
+
+
+def _frozen_grad(net: SurrogateNet, cache, last, d, bias: bool) -> np.ndarray:
+    """Flat-parameter gradient of sum_b d[b] * (last @ Wh + bias * bh)[b] back
+    through the cache's folded layers: forward's cache and last activations for
+    backward_params, forward_jvp's and last tangents for backward_params_jvp."""
+    grad = np.zeros_like(net.params)
+    net.view("Wh", grad)[:] = last.T @ d[:, None]
+    if bias:
+        net.view("bh", grad)[:] = d.sum()
+    dh = d[:, None] * net.view("Wh").ravel()[None, :]
+    for i in reversed(range(len(net.arch.hidden))):
+        lay, fold = cache["layers"][i], cache["folded"][i]
+        dh *= lay["mask"]
+        _unfold_grad(net, grad, i, fold, lay["a"].T @ dh, dh.sum(axis=0) if bias else 0.0)
+        if i:
+            dh = dh @ fold[0].T
+    return grad
 
 
 def backward_params(net: SurrogateNet, cache, dL_dpred: np.ndarray) -> np.ndarray:
     """Exact reverse-mode gradient of sum_b dL_dpred[b] * pred[b] w.r.t. flat params."""
-    p = cache["params"]
     dL = np.asarray(dL_dpred, dtype=np.float64).ravel()
     if dL.shape[0] != cache["X"].shape[0]:
         raise NumericalError("dL_dpred length does not match the cached batch")
-    grad = np.zeros_like(p)
-
-    h = cache["h_last"]
-    net.view("Wh", grad)[:] = h.T @ dL[:, None]
+    if cache["folded"] is not None:
+        return _frozen_grad(net, cache, cache["h_last"], dL, bias=True)
+    # batch statistics
+    grad = np.zeros_like(net.params)
+    net.view("Wh", grad)[:] = cache["h_last"].T @ dL[:, None]
     net.view("bh", grad)[:] = dL.sum()
-    dh = dL[:, None] * net.view("Wh", p).ravel()[None, :]
-
-    folded = cache["folded"]
+    dh = dL[:, None] * net.view("Wh").ravel()[None, :]
     for i in reversed(range(len(net.arch.hidden))):
         lay = cache["layers"][i]
         du = dh * lay["mask"]
-        if folded is None:  # batch statistics
-            xhat, std = lay["xhat"], lay["std"]
-            net.view(f"g{i}", grad)[:] = (du * xhat).sum(axis=0)
-            net.view(f"s{i}", grad)[:] = du.sum(axis=0)
-            dxhat = du * net.view(f"g{i}", p)
-            ds = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
-            net.view(f"W{i}", grad)[:] = lay["a"].T @ ds
-            net.view(f"b{i}", grad)[:] = ds.sum(axis=0)
-            W = net.view(f"W{i}", p)
-        else:
-            _unfold_grad(net, grad, p, i, folded[i], lay["a"].T @ du, du.sum(axis=0))
-            ds, W = du, folded[i][0]
+        xhat, std = lay["xhat"], lay["std"]
+        net.view(f"g{i}", grad)[:] = (du * xhat).sum(axis=0)
+        net.view(f"s{i}", grad)[:] = du.sum(axis=0)
+        dxhat = du * net.view(f"g{i}")
+        ds = (dxhat - dxhat.mean(axis=0) - xhat * (dxhat * xhat).mean(axis=0)) / std
+        net.view(f"W{i}", grad)[:] = lay["a"].T @ ds
+        net.view(f"b{i}", grad)[:] = ds.sum(axis=0)
         if i:
-            dh = ds @ W.T
+            dh = ds @ net.view(f"W{i}").T
     return grad
 
 
-def input_grad(net: SurrogateNet, x: np.ndarray, params_override=None) -> np.ndarray:
+def input_grad(net: SurrogateNet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
-    return input_grad_batch(net, x[None, :], params_override)[0]
+    return input_grad_batch(net, x[None, :])[0]
 
 
-def input_grad_batch(net: SurrogateNet, X: np.ndarray, params_override=None,
-                     folded=None) -> np.ndarray:
+def input_grad_batch(net: SurrogateNet, X: np.ndarray, folded=None) -> np.ndarray:
     """Per-row grad_x g(x) under the frozen norm statistics; `folded` as in forward."""
-    p = _check_override(net, params_override)
-    _, cache = forward(net, X, params_override=p, folded=folded)
-    dh = np.broadcast_to(net.view("Wh", p).ravel()[None, :], cache["h_last"].shape)
+    _, cache = forward(net, X, folded=folded)
+    dh = np.broadcast_to(net.view("Wh").ravel()[None, :], cache["h_last"].shape)
     for lay, fold in zip(reversed(cache["layers"]), reversed(cache["folded"])):
         dh = (dh * lay["mask"]) @ fold[0].T
     return dh
 
 
-def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray, params_override=None):
+def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray):
     """Frozen-statistics forward that propagates input tangents V (rows).
 
     Returns (jvp, cache); jvp[b] = V[b] . grad_x g(X[b]).
     """
-    p = _check_override(net, params_override)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     V = np.atleast_2d(np.asarray(V, dtype=np.float64))
     if V.shape != X.shape or X.shape[1] != net.arch.input_dim:
         raise NumericalError(f"input {X.shape} and tangent {V.shape} need one shape "
                              f"with {net.arch.input_dim} columns")
-    folded = _fold(net, p)
+    folded = _fold(net, net.params)
     h, th, layers = X, V, []
     for Wf, bf, _, _ in folded:
         u = h @ Wf
@@ -279,8 +280,8 @@ def forward_jvp(net: SurrogateNet, X: np.ndarray, V: np.ndarray, params_override
         tu *= mask
         layers.append({"a": th, "mask": mask})
         h, th = u, tu
-    jvp = (th @ net.view("Wh", p)).ravel()
-    cache = {"params": p, "folded": folded, "layers": layers, "th_last": th}
+    jvp = (th @ net.view("Wh")).ravel()
+    cache = {"folded": folded, "layers": layers, "th_last": th}
     return jvp, cache
 
 
@@ -291,20 +292,8 @@ def backward_params_jvp(net: SurrogateNet, cache, djvp) -> np.ndarray:
     (LeakyReLU masks treated as locally constant). The tangents do not depend
     on the biases or the norm shifts, so their entries are 0.
     """
-    p = cache["params"]
     djvp = np.asarray(djvp, dtype=np.float64).ravel()
-    grad = np.zeros_like(p)
-
-    net.view("Wh", grad)[:] = cache["th_last"].T @ djvp[:, None]
-    dth = djvp[:, None] * net.view("Wh", p).ravel()[None, :]
-
-    for i in reversed(range(len(net.arch.hidden))):
-        lay, fold = cache["layers"][i], cache["folded"][i]
-        dth *= lay["mask"]
-        _unfold_grad(net, grad, p, i, fold, lay["a"].T @ dth)
-        if i:
-            dth = dth @ fold[0].T
-    return grad
+    return _frozen_grad(net, cache, cache["th_last"], djvp, bias=False)
 
 
 @dataclass
@@ -312,9 +301,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_net(cls, net: SurrogateNet) -> "AdamState":
@@ -326,13 +312,13 @@ def adam_step(params: np.ndarray, grad: np.ndarray, lr: float, state: AdamState)
     if params.shape != grad.shape:
         raise NumericalError(f"{params.shape} vs {grad.shape}")
     state.t += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += ((1.0 - state.beta2) * grad) * grad
-    mhat = state.m / (1.0 - state.beta1**state.t)
-    vhat = state.v / (1.0 - state.beta2**state.t)
-    return params - lr * mhat / (np.sqrt(vhat) + state.eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += ((1.0 - ADAM_BETA2) * grad) * grad
+    mhat = state.m / (1.0 - ADAM_BETA1**state.t)
+    vhat = state.v / (1.0 - ADAM_BETA2**state.t)
+    return params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def apply_update(net: SurrogateNet, grad: np.ndarray, lr: float, optimizer_state: AdamState):

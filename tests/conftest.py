@@ -24,6 +24,11 @@ def small_net(dim=2, hidden=(6, 5), norm=sg.NORM_BATCH, seed=0):
     return net
 
 
+def fast_net(net, params):
+    """The net's fast-weight twin: its own params, the net's running statistics."""
+    return sg.SurrogateNet(net.arch, params, net.norm_stats)
+
+
 def toy_dataset(n=20, dim=2, seed=3):
     r = RngState(seed)
     X = r.normal(size=(n, dim))

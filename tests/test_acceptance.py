@@ -138,8 +138,8 @@ def test_criterion_surrogate_autodiff():
             up[k] += h
             dn = net.params.copy()
             dn[k] -= h
-            pu, _ = sg.forward(net, X, params_override=up)
-            pd, _ = sg.forward(net, X, params_override=dn)
+            pu, _ = sg.forward(sg.SurrogateNet(net.arch, up, net.norm_stats), X)
+            pd, _ = sg.forward(sg.SurrogateNet(net.arch, dn, net.norm_stats), X)
             fd[k] = float(dpred @ (pu - pd)) / (2 * h)
         worst_param = max(
             worst_param, np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8)

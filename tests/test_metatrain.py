@@ -9,7 +9,7 @@ from optbias.matchloss import (
 )
 from optbias.errors import DataError, NumericalError
 from optbias.numerics import RngState
-from conftest import small_net, toy_dataset
+from conftest import fast_net, small_net, toy_dataset
 
 
 def make_tasks(n_tasks=3, seed=0, n_points=8, evolve_steps=4, delta_frac=0.3):
@@ -53,6 +53,32 @@ def test_inner_adapt_purity_and_determinism():
     assert np.array_equal(f1, f2) and np.array_equal(g1, g2)
 
 
+def test_inner_adapt_scores_the_target_on_a_fast_net(monkeypatch):
+    # the fast net holds the fast weights and shares the statistics the
+    # context batch just refreshed; the net's own params never move
+    tasks = make_tasks(1)
+    net, ref = small_net(), small_net()
+    before = net.params.tobytes()
+    seen = []
+
+    def recording(n, pairs, mode):
+        seen.append((n, [(m.tobytes(), v.tobytes()) for m, v in n.norm_stats]))
+        return match_loss(n, pairs, mode)
+
+    monkeypatch.setattr(mt, "match_loss", recording)
+    cfg = mt.MetaConfig(integral_mode=DEFAULT_MODE)
+    fast = mt.inner_adapt(net, tasks[0], cfg, RngState(4))[0]
+    assert net.params.tobytes() == before
+    (context_net, context_stats), (target_net, target_stats) = seen
+    assert context_net is net and target_net is not net
+    assert target_net.params is fast and target_net.norm_stats is net.norm_stats
+    starts, ends, _ = sim4opt.build_pairs(tasks[0], RngState(4), cfg.context_pairs)
+    sg.forward(ref, np.concatenate([starts, ends], axis=0), train=True)
+    refreshed = [(m.tobytes(), v.tobytes()) for m, v in ref.norm_stats]
+    assert target_stats == context_stats == refreshed
+    assert refreshed != [(m.tobytes(), v.tobytes()) for m, v in small_net().norm_stats]
+
+
 def test_inner_adapt_descent_direction():
     # small alpha on a shared context=target batch must not increase the loss
     tasks = make_tasks(4, seed=7)
@@ -65,7 +91,7 @@ def test_inner_adapt_descent_direction():
         batch = PairBatch(starts, ends, dz)
         pre, grad = match_loss(net, batch, EXACT)
         fast = net.params - 1e-3 * grad
-        post, _ = match_loss(net, batch, EXACT, params=fast)
+        post, _ = match_loss(fast_net(net, fast), batch, EXACT)
         if post <= pre + 1e-15:
             wins += 1
     assert wins >= 18

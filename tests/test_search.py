@@ -18,11 +18,11 @@ class QuadraticNet:
 
 
 def _patch_quadratic(monkeypatch, net):
-    def fake_forward(n, X, params_override=None):
+    def fake_forward(n, X):
         X = np.atleast_2d(X)
         return -np.sum((X - net.target) ** 2, axis=1), None
 
-    def fake_input_grad_batch(n, X, params_override=None, folded=None):
+    def fake_input_grad_batch(n, X, folded=None):
         return -2.0 * (np.atleast_2d(X) - net.target)
 
     monkeypatch.setattr(search.sg, "forward", fake_forward)
@@ -62,7 +62,7 @@ def test_init_candidates_top_quantile(monkeypatch):
 def test_init_candidates_tie_rule(monkeypatch):
     net = QuadraticNet([0.0])
 
-    def const_forward(n, X, params_override=None):
+    def const_forward(n, X):
         return np.zeros(np.atleast_2d(X).shape[0]), None
 
     monkeypatch.setattr(search.sg, "forward", const_forward)
@@ -180,7 +180,7 @@ def test_gradient_search_flags_an_infinite_step_under_bounds(monkeypatch, bounde
     fake = search.sg.input_grad_batch
     start = np.array([[0.1, 0.1], [0.5, -0.5]])
 
-    def inf_at_first_start(n, X, params_override=None, folded=None):
+    def inf_at_first_start(n, X, folded=None):
         grad = fake(n, X)
         grad[(X == start[0]).all(axis=1)] = np.inf
         return grad
@@ -190,6 +190,34 @@ def test_gradient_search_flags_an_infinite_step_under_bounds(monkeypatch, bounde
     out = search.gradient_search(net, search.CandidateSet(start, np.arange(2)), 0.1, 5, bounds)
     assert out.flagged.tolist() == [True, False]
     assert np.array_equal(out.designs[0], start[0])
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_designs_csv_reads_each_rows_own_step_count(monkeypatch, tmp_path, bounded):
+    # row 0's gradient turns NaN at its fourth step: it made 3 finite steps
+    net = QuadraticNet([0.3, -0.2])
+    _patch_quadratic(monkeypatch, net)
+    fake, calls = search.sg.input_grad_batch, []
+
+    def nan_at_fourth_call(n, X, folded=None):
+        grad = fake(n, X)
+        calls.append(len(X))
+        if len(calls) == 4:
+            grad[0, 0] = np.nan
+        return grad
+
+    monkeypatch.setattr(search.sg, "input_grad_batch", nan_at_fourth_call)
+    start = np.array([[0.1, 0.1], [0.5, -0.5], [-0.4, 0.2]])
+    bounds = np.array([[-1.0, 1.0], [-1.0, 1.0]]) if bounded else None
+    out = search.gradient_search(net, search.CandidateSet(start, np.arange(3)), 0.1, 9, bounds)
+    assert calls == [3] * 4 + [2] * 5
+    assert out.flagged.tolist() == [True, False, False]
+    assert out.steps_taken.tolist() == [3, 9, 9]
+    three = search.gradient_search(net, search.CandidateSet(start[:1], np.arange(1)), 0.1, 3)
+    assert out.designs[0].tobytes() == three.designs[0].tobytes()
+    search.write_designs_csv(tmp_path / "designs.csv", out)
+    rows = (tmp_path / "designs.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[-2:] for r in rows] == [["3", "1"], ["9", "0"], ["9", "0"]]
 
 
 def test_gradient_search_folds_once(monkeypatch):
@@ -226,9 +254,9 @@ def test_gradient_search_invalid_args():
 
 def test_write_designs_csv(tmp_path):
     c = search.CandidateSet(np.array([[1.0, 2.0]]), np.array([7]),
-                            np.array([False]))
+                            np.array([False]), np.array([300]))
     p = tmp_path / "designs.csv"
-    search.write_designs_csv(p, c, steps_taken=300)
+    search.write_designs_csv(p, c)
     lines = p.read_text().strip().splitlines()
     assert lines[0] == "x0,x1,provenance,steps_taken,flagged"
     assert lines[1] == "1.0,2.0,7,300,0"

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import platform
 
 import numpy as np
@@ -8,7 +9,7 @@ from optbias import matchloss as ml
 from optbias import surrogate as sg
 from optbias.errors import NumericalError
 from optbias.numerics import RngState
-from conftest import fd_param_grad, small_net
+from conftest import fast_net, fd_param_grad, small_net
 
 
 def test_param_count_formula():
@@ -70,8 +71,7 @@ def test_forward_override_purity_eval():
     net = small_net()
     before = net.params.copy()
     stats_before = [(m.copy(), v.copy()) for m, v in net.norm_stats]
-    override = net.params + 0.5
-    p1, _ = sg.forward(net, np.ones((3, 2)), params_override=override)
+    p1, _ = sg.forward(fast_net(net, net.params + 0.5), np.ones((3, 2)))
     assert np.array_equal(net.params, before)
     for (m0, v0), (m1, v1) in zip(stats_before, net.norm_stats):
         assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
@@ -128,7 +128,7 @@ def test_backward_params_vs_finite_differences(mode):
         def loss(p):
             if train:
                 net.norm_stats = [(m.copy(), v.copy()) for m, v in stats]
-            pred, _ = sg.forward(net, X, params_override=p, train=train)
+            pred, _ = sg.forward(fast_net(net, p), X, train=train)
             return float(d @ pred)
 
         if train:
@@ -176,7 +176,7 @@ def test_backward_params_jvp_vs_finite_differences():
         djvp = r.normal(size=3)
 
         def loss(p):
-            jvp, _ = sg.forward_jvp(net, X, V, params_override=p)
+            jvp, _ = sg.forward_jvp(fast_net(net, p), X, V)
             return float(djvp @ jvp)
 
         _, cache = sg.forward_jvp(net, X, V)
@@ -237,7 +237,7 @@ def _unfolded_reference(net, p, X, V, dpred, djvp):
 
 def _frozen_net(norm):
     """A net with scales, shifts and running statistics far from (1, 0, 0, 1),
-    plus inputs, tangents, upstream gradients and a distinct override."""
+    plus inputs, tangents, upstream gradients and distinct fast weights."""
     net = small_net(dim=3, hidden=(7, 5), norm=norm, seed=41)
     r = RngState(42)
     net.params = net.params + 0.3 * r.normal(size=net.params.shape)
@@ -245,39 +245,39 @@ def _frozen_net(norm):
                       for m, v in net.norm_stats]
     X, V = r.normal(size=(9, 3)), r.normal(size=(9, 3))
     dpred, djvp = r.normal(size=9), r.normal(size=9)
-    override = net.params + 0.2 * r.normal(size=net.params.shape)
-    return net, X, V, dpred, djvp, override
+    fast = net.params + 0.2 * r.normal(size=net.params.shape)
+    return net, X, V, dpred, djvp, fast
 
 
 @pytest.mark.parametrize("norm", [sg.NORM_BATCH, sg.NORM_NONE])
 def test_frozen_statistics_passes_match_unfolded_reference(norm):
-    net, X, V, dpred, djvp, override = _frozen_net(norm)
-    for p in (None, override):
-        want = _unfolded_reference(net, net.params if p is None else p, X, V, dpred, djvp)
-        pred, cache = sg.forward(net, X, params_override=p)
-        jvp, jvp_cache = sg.forward_jvp(net, X, V, params_override=p)
-        got = (pred, jvp, sg.input_grad_batch(net, X, p),
+    base, X, V, dpred, djvp, fast = _frozen_net(norm)
+    for net in (base, fast_net(base, fast)):
+        want = _unfolded_reference(base, net.params, X, V, dpred, djvp)
+        pred, cache = sg.forward(net, X)
+        jvp, jvp_cache = sg.forward_jvp(net, X, V)
+        got = (pred, jvp, sg.input_grad_batch(net, X),
                sg.backward_params(net, cache, dpred),
                sg.backward_params_jvp(net, jvp_cache, djvp))
         names = ("forward", "forward_jvp", "input_grad_batch", "backward_params",
                  "backward_params_jvp")
         for name, g, w in zip(names, got, want):
             assert g.shape == w.shape, name
-            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (name, p is None)
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), (name, net is base)
 
 
 @pytest.mark.parametrize("norm", [sg.NORM_BATCH, sg.NORM_NONE])
 def test_frozen_statistics_passes_mutate_nothing(norm):
-    net, X, V, dpred, djvp, override = _frozen_net(norm)
-    inputs = [X, V, dpred, djvp, override, net.params] + [a for st in net.norm_stats for a in st]
+    base, X, V, dpred, djvp, fast = _frozen_net(norm)
+    inputs = [X, V, dpred, djvp, fast, base.params] + [a for st in base.norm_stats for a in st]
     before = [a.tobytes() for a in inputs]
-    for p in (None, override):
-        _, cache = sg.forward(net, X, params_override=p)
-        _, jvp_cache = sg.forward_jvp(net, X, V, params_override=p)
+    for net in (base, fast_net(base, fast)):
+        _, cache = sg.forward(net, X)
+        _, jvp_cache = sg.forward_jvp(net, X, V)
         calls = {
-            "forward": lambda: sg.forward(net, X, params_override=p)[0],
-            "forward_jvp": lambda: sg.forward_jvp(net, X, V, params_override=p)[0],
-            "input_grad_batch": lambda: sg.input_grad_batch(net, X, p),
+            "forward": lambda: sg.forward(net, X)[0],
+            "forward_jvp": lambda: sg.forward_jvp(net, X, V)[0],
+            "input_grad_batch": lambda: sg.input_grad_batch(net, X),
             # the same cache twice: a reverse pass must not write into it
             "backward_params": lambda: sg.backward_params(net, cache, dpred),
             "backward_params_jvp": lambda: sg.backward_params_jvp(net, jvp_cache, djvp),
@@ -286,6 +286,23 @@ def test_frozen_statistics_passes_mutate_nothing(norm):
             first = call().tobytes()
             assert call().tobytes() == first, name
             assert [a.tobytes() for a in inputs] == before, name
+
+
+def test_parameters_live_only_in_the_net():
+    # a fast-weight vector is scored on its own net; no pass takes a second
+    # parameter vector, and no cache carries one
+    for mod in (sg, ml):
+        for name, fn in vars(mod).items():
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__ and name[0] != "_":
+                args = inspect.signature(fn).parameters
+                assert "params_override" not in args, name
+                assert "net" not in args or "params" not in args, name
+    assert not hasattr(sg, "_check_override")
+    net = small_net()
+    X = RngState(3).normal(size=(4, 2))
+    for _, cache in (sg.forward(net, X), sg.forward(net, X, train=True),
+                     sg.forward_jvp(net, X, X)):
+        assert "params" not in cache
 
 
 @pytest.mark.parametrize("slope", [0.01, 0.2, 0.5, 0.999, 5e-324])
@@ -366,10 +383,11 @@ def test_frozen_passes_are_bit_equal_to_the_reference(norm, rows):
     dpred, djvp = r.normal(size=rows), r.normal(size=rows)
     for p in (None, net.params + 0.1 * r.normal(size=net.params.shape)):
         want = _reference_frozen_passes(net, X, V, dpred, djvp, p)
-        pred, cache = sg.forward(net, X, params_override=p)
-        jvp, jvp_cache = sg.forward_jvp(net, X, V, params_override=p)
-        got = (pred, jvp, sg.backward_params(net, cache, dpred),
-               sg.backward_params_jvp(net, jvp_cache, djvp))
+        passes = net if p is None else fast_net(net, p)
+        pred, cache = sg.forward(passes, X)
+        jvp, jvp_cache = sg.forward_jvp(passes, X, V)
+        got = (pred, jvp, sg.backward_params(passes, cache, dpred),
+               sg.backward_params_jvp(passes, jvp_cache, djvp))
         for name, g, w in zip(("forward", "forward_jvp", "backward_params",
                                "backward_params_jvp"), got, want):
             assert g.tobytes() == w.tobytes(), (name, p is None)
@@ -401,12 +419,13 @@ def test_surrogate_passes_reuse_resident_buffers():
 
 def _adam_reference(params, grad, lr, state):
     """adam_step as it was written out of place; the in-place one must match it bit for bit."""
+    assert (sg.ADAM_BETA1, sg.ADAM_BETA2, sg.ADAM_EPS) == (0.9, 0.999, 1e-8)
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    mhat = state.m / (1.0 - state.beta1**state.t)
-    vhat = state.v / (1.0 - state.beta2**state.t)
-    return params - lr * mhat / (np.sqrt(vhat) + state.eps)
+    state.m = sg.ADAM_BETA1 * state.m + (1.0 - sg.ADAM_BETA1) * grad
+    state.v = sg.ADAM_BETA2 * state.v + (1.0 - sg.ADAM_BETA2) * grad * grad
+    mhat = state.m / (1.0 - sg.ADAM_BETA1**state.t)
+    vhat = state.v / (1.0 - sg.ADAM_BETA2**state.t)
+    return params - lr * mhat / (np.sqrt(vhat) + sg.ADAM_EPS)
 
 
 def test_adam_in_place_matches_reference_bit_for_bit():
